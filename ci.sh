@@ -22,6 +22,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> cargo test -q --release -p xgft -p lmpr-core -p lmpr-flitsim"
+# The simulator stack again as it ships: the bitset worklists and
+# round-robin rotation are shift/mask arithmetic that wraps silently in
+# release builds, and every debug_assert! above them is compiled out.
+cargo test -q --release -p xgft -p lmpr-core -p lmpr-flitsim
+
 echo "==> verify --ci (static routing-correctness matrix)"
 cargo run -q --release -p lmpr-bench --bin verify -- --ci > /dev/null
 

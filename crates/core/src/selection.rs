@@ -25,13 +25,16 @@
 //!   link the selection cannot change (and pristine entries cannot
 //!   improve at all).
 //!
-//! Everything else keeps its selection, so reconvergence cost scales
-//! with the damage, not with the pair count.
+//! Everything else keeps its selection, and is not even looked at: the
+//! batch's [`BlastRadius`] — which pairs a changed link can touch, from
+//! the topology alone — rejects every cached key outside it with two
+//! range tests, so reconvergence cost scales with the damage, not with
+//! the pair count or the cache size.
 
 use crate::{degrade_selection, RouteError, Router};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use xgft::{FaultChange, FaultSet, PathId, PnId, Topology};
+use xgft::{BlastRadius, FaultChange, FaultSet, PathId, PnId, Topology};
 
 /// Dense SD-pair key for the selection cache.
 pub fn route_key(s: PnId, d: PnId) -> u64 {
@@ -260,17 +263,18 @@ impl<R: Router> SelectionEngine<R> {
     /// — the selection is a pure function of the survival bits of the
     /// pair's canonical enumeration, so recoveries outside that space
     /// cannot change it, and pristine entries cannot improve at all).
+    /// Only entries inside the batch's [`BlastRadius`] walk any path.
     /// Returns the number of entries flushed.
     pub fn apply_changes(&mut self, topo: &Topology, changes: &[FaultChange]) -> u64 {
         self.apply_changes_inner(topo, changes, None)
     }
 
     /// [`SelectionEngine::apply_changes`], additionally appending the
-    /// [`route_key`] of every flushed entry to `flushed` — the batch's
-    /// observed blast radius. Consumers that must re-certify exactly
-    /// the selections a change batch may have altered (the routing
-    /// controller's per-epoch certificate) scope their audit to these
-    /// keys instead of re-proving every pair.
+    /// [`route_key`] of every flushed entry to `flushed`, in ascending
+    /// order — the batch's observed blast radius. Consumers that must
+    /// re-certify exactly the selections a change batch may have altered
+    /// (the routing controller's per-epoch certificate) scope their
+    /// audit to these keys instead of re-proving every pair.
     pub fn apply_changes_collect(
         &mut self,
         topo: &Topology,
@@ -284,59 +288,59 @@ impl<R: Router> SelectionEngine<R> {
         &mut self,
         topo: &Topology,
         changes: &[FaultChange],
-        mut flushed_keys: Option<&mut Vec<u64>>,
+        flushed_keys: Option<&mut Vec<u64>>,
     ) -> u64 {
+        for &change in changes {
+            change.apply(topo, &mut self.view);
+        }
+        let Some(cache) = self.cache.as_mut().filter(|c| !c.is_empty()) else {
+            return 0;
+        };
+        // The batch's blast radius, from the topology alone: a pair
+        // outside the down-radius has no canonical path — so no selected
+        // one — over a newly dead link, and a pair is inside the
+        // up-radius exactly when its canonical space touches a recovered
+        // link. Only keys inside a radius are walked at all.
         let mut newly_down = FaultSet::new();
-        let mut newly_up = FaultSet::new();
+        let mut down_radius = BlastRadius::new(topo);
+        let mut up_radius = BlastRadius::new(topo);
         for &change in changes {
             match change {
                 FaultChange::LinkDown(_) | FaultChange::SwitchDown(_) => {
                     change.apply(topo, &mut newly_down);
+                    down_radius.touch(topo, change);
                 }
-                // Recovered elements, expressed as a FaultSet so "does a
-                // canonical path cross a recovered link" is the same
-                // walk as path survival.
-                FaultChange::LinkUp(l) => newly_up.fail_link(l),
-                FaultChange::SwitchUp(n) => newly_up.fail_switch(topo, n),
+                FaultChange::LinkUp(_) | FaultChange::SwitchUp(_) => {
+                    up_radius.touch(topo, change);
+                }
             }
-            change.apply(topo, &mut self.view);
         }
-        let Some(cache) = self.cache.as_mut() else {
-            return 0;
+        let flushes = |key: u64, sel: &CachedSelection| {
+            let (s, d) = route_key_pair(key);
+            let dead = down_radius.contains(s, d)
+                && !sel
+                    .paths
+                    .iter()
+                    .all(|&p| newly_down.path_survives(topo, s, d, p));
+            // Degraded (including cached-disconnected) entries are
+            // re-examined only when a recovery touches the pair's
+            // canonical path space; pristine ones cannot improve.
+            dead || (sel.degraded && up_radius.contains(s, d))
         };
-        let before = cache.len();
-        if !newly_down.is_empty() || !newly_up.is_empty() {
-            // The flush predicate runs over the key set in sorted order,
-            // never in hash-iteration order: the flushed-key list is an
-            // observable output (the batch's recorded blast radius), and
-            // every observable sequence in this workspace must be a pure
-            // function of the inputs.
-            let mut keys: Vec<u64> = cache.keys().copied().collect();
-            keys.sort_unstable();
-            for key in keys {
-                let Some(sel) = cache.get(&key) else { continue };
-                let (s, d) = route_key_pair(key);
-                let dead = !newly_down.is_empty()
-                    && !sel
-                        .paths
-                        .iter()
-                        .all(|&p| newly_down.path_survives(topo, s, d, p));
-                // Degraded (including cached-disconnected) entries are
-                // re-examined only when a recovery touches the pair's
-                // canonical path space.
-                let improvable = sel.degraded
-                    && !newly_up.is_empty()
-                    && (0..topo.num_paths(s, d))
-                        .any(|p| !newly_up.path_survives(topo, s, d, PathId(p)));
-                if dead || improvable {
-                    cache.remove(&key);
-                    if let Some(out) = flushed_keys.as_deref_mut() {
-                        out.push(key);
-                    }
-                }
-            }
+        // The predicate is a pure function of the entry, so evaluating it
+        // in hash order is unobservable; the flushed-key list is an
+        // observable output (the batch's recorded blast radius) and is
+        // sorted before anything reads it.
+        let hit = cache.iter().filter(|(&key, sel)| flushes(key, sel));
+        let mut doomed: Vec<u64> = hit.map(|(&key, _)| key).collect();
+        doomed.sort_unstable();
+        for key in &doomed {
+            cache.remove(key);
         }
-        let flushed = (before - cache.len()) as u64;
+        let flushed = doomed.len() as u64;
+        if let Some(out) = flushed_keys {
+            out.extend_from_slice(&doomed);
+        }
         self.stats.invalidated += flushed;
         flushed
     }

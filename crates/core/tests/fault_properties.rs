@@ -2,11 +2,16 @@
 //! SD pairs and sampled fault sets, the degraded selection must stay
 //! inside the fault-free enumeration, avoid every failed link, keep the
 //! `min(K, X_surviving)` cardinality, and collapse to the inner
-//! heuristic bit-for-bit when the fault set is empty.
+//! heuristic bit-for-bit when the fault set is empty. And the selection
+//! cache's blast-radius-scoped flush must be indistinguishable from the
+//! exhaustive walk of every cached entry it replaced.
 
-use lmpr_core::{Disjoint, DisjointStride, FaultAware, RandomK, RouteError, Router, ShiftOne};
+use lmpr_core::{
+    route_key, Disjoint, DisjointStride, FaultAware, RandomK, RouteError, Router, RouterKind,
+    SelectionEngine, ShiftOne,
+};
 use proptest::prelude::*;
-use xgft::{FaultSet, PathId, PnId, Topology, XgftSpec};
+use xgft::{DirectedLinkId, FaultChange, FaultSet, NodeId, PathId, PnId, Topology, XgftSpec};
 
 fn arb_topo() -> impl Strategy<Value = Topology> {
     (1usize..=3)
@@ -42,8 +47,152 @@ fn all_limited_routers(k: u64) -> Vec<Box<dyn Router>> {
     ]
 }
 
+/// The flush predicate before it was scoped, kept as the reference:
+/// every cached entry, in sorted key order, walks its selected paths
+/// against the newly dead links and — when degraded — its whole
+/// canonical enumeration against the recovered ones.
+fn exhaustive_flush(
+    topo: &Topology,
+    engine: &SelectionEngine<RouterKind>,
+    changes: &[FaultChange],
+) -> Vec<u64> {
+    let mut newly_down = FaultSet::new();
+    let mut newly_up = FaultSet::new();
+    for &change in changes {
+        match change {
+            FaultChange::LinkDown(_) | FaultChange::SwitchDown(_) => {
+                change.apply(topo, &mut newly_down);
+            }
+            FaultChange::LinkUp(l) => newly_up.fail_link(l),
+            FaultChange::SwitchUp(n) => newly_up.fail_switch(topo, n),
+        }
+    }
+    let mut flushed = Vec::new();
+    for (s, d, sel) in engine.cached_selections() {
+        let dead = !sel
+            .paths
+            .iter()
+            .all(|&p| newly_down.path_survives(topo, s, d, p));
+        let improvable = sel.degraded
+            && topo
+                .all_paths(s, d)
+                .any(|p| !newly_up.path_survives(topo, s, d, p));
+        if dead || improvable {
+            flushed.push(route_key(s, d));
+        }
+    }
+    flushed
+}
+
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A batch of one to four changes: link and switch events, down and up,
+/// recoveries preferring elements the view knows are dead.
+fn draw_batch(topo: &Topology, view: &FaultSet, rng: &mut u64) -> Vec<FaultChange> {
+    let below = |rng: &mut u64, n: u32| (splitmix(rng) % u64::from(n)) as u32;
+    let dead_links: Vec<DirectedLinkId> = view.failed_links().collect();
+    let len = 1 + below(rng, 4);
+    (0..len)
+        .map(|_| {
+            let level = 1 + below(rng, topo.height() as u32);
+            let node = NodeId {
+                level: level as u8,
+                rank: below(rng, topo.nodes_at_level(level as usize)),
+            };
+            match below(rng, 6) {
+                0 | 1 => FaultChange::LinkDown(DirectedLinkId(below(rng, topo.num_links()))),
+                2 if !dead_links.is_empty() => {
+                    FaultChange::LinkUp(dead_links[below(rng, dead_links.len() as u32) as usize])
+                }
+                2 | 3 => FaultChange::LinkUp(DirectedLinkId(below(rng, topo.num_links()))),
+                4 => FaultChange::SwitchDown(node),
+                _ => match view.failed_switches() {
+                    [] => FaultChange::SwitchUp(node),
+                    dead => FaultChange::SwitchUp(dead[below(rng, dead.len() as u32) as usize]),
+                },
+            }
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn scoped_flush_equals_the_exhaustive_walk(
+        (t, seed, scheme, k) in (arb_topo(), 0u64..=u64::MAX, 0u8..=4, 1u64..=6)
+    ) {
+        let kind = match scheme {
+            0 => RouterKind::DModK,
+            1 => RouterKind::ShiftOne(k),
+            2 => RouterKind::Disjoint(k),
+            3 => RouterKind::RandomK(k, seed),
+            _ => RouterKind::Umulti,
+        };
+        let mut rng = seed;
+        let n = t.num_pns();
+        let rate = (splitmix(&mut rng) % 10) as f64 / 100.0;
+        let switch_rate = (splitmix(&mut rng) % 2) as f64 * 0.05;
+        let mut engine = SelectionEngine::cached(kind, FaultSet::sample(&t, rate, switch_rate, seed));
+        let (mut warm, mut cold) = (Vec::new(), Vec::new());
+        for _round in 0..4 {
+            // Warm-cache contents: a random multiset of pairs, so the
+            // cache holds anything from a handful of entries to most of
+            // the matrix, pristine and degraded and disconnected alike.
+            for _ in 0..splitmix(&mut rng) % (2 * u64::from(n * n)) {
+                let s = PnId((splitmix(&mut rng) % u64::from(n)) as u32);
+                let d = PnId((splitmix(&mut rng) % u64::from(n)) as u32);
+                if s != d {
+                    engine.select(&t, s, d, &mut warm);
+                }
+            }
+            let changes = draw_batch(&t, engine.view(), &mut rng);
+            let expected = exhaustive_flush(&t, &engine, &changes);
+            let before = engine.stats();
+            let survivors: Vec<(PnId, PnId, Vec<PathId>, bool)> = engine
+                .cached_selections()
+                .into_iter()
+                .filter(|&(s, d, _)| !expected.contains(&route_key(s, d)))
+                .map(|(s, d, sel)| (s, d, sel.paths.clone(), sel.degraded))
+                .collect();
+            let uncollected = engine.clone().apply_changes(&t, &changes);
+
+            let mut flushed = vec![u64::MAX]; // appended to, never cleared
+            let count = engine.apply_changes_collect(&t, &changes, &mut flushed);
+            prop_assert_eq!(&flushed[1..], &expected[..], "flushed keys for {:?}", &changes);
+            prop_assert_eq!(flushed[0], u64::MAX);
+            prop_assert_eq!(count, expected.len() as u64);
+            prop_assert_eq!(uncollected, count);
+            let after = engine.stats();
+            prop_assert_eq!(after.invalidated, before.invalidated + count);
+            prop_assert_eq!((after.hits, after.misses), (before.hits, before.misses));
+            // What was not flushed is exactly what was there.
+            let kept: Vec<(PnId, PnId, Vec<PathId>, bool)> = engine
+                .cached_selections()
+                .into_iter()
+                .map(|(s, d, sel)| (s, d, sel.paths.clone(), sel.degraded))
+                .collect();
+            prop_assert_eq!(kept, survivors);
+            // And it was enough: every pair, answered through the
+            // surviving cache, equals a cold recomputation.
+            let mut probe = engine.clone();
+            let mut reference = SelectionEngine::with_view(kind, engine.view().clone());
+            for s in (0..n).map(PnId) {
+                for d in (0..n).map(PnId).filter(|&d| d != s) {
+                    let w = probe.try_select(&t, s, d, &mut warm);
+                    let c = reference.try_select(&t, s, d, &mut cold);
+                    prop_assert_eq!(w, c, "({:?}, {:?}) after {:?}", s, d, &changes);
+                    prop_assert_eq!(&warm, &cold, "({:?}, {:?}) after {:?}", s, d, &changes);
+                }
+            }
+        }
+    }
 
     #[test]
     fn degraded_sets_are_surviving_subsets_of_the_enumeration(

@@ -2,6 +2,13 @@
 //! ejection, crossbar traversal, link transfer and source injection —
 //! the event wheel one [`FlitSim::step`] spin drives, in that order.
 //!
+//! A stage visits only state that can change this cycle: ejection, link
+//! transfer and injection walk the occupancy worklists (non-empty
+//! ejection queues, output buffers, source queues) in ascending port
+//! order — the order matters, because records retired along the way
+//! free slab slots that are reused LIFO — and the crossbar arbitrates
+//! from per-output request rows (see [`arbiter`](crate::arbiter)).
+//!
 //! Each stage is a method on [`FlitSim`]; the control loop itself
 //! (run/step/stats) lives in [`sim`](crate::sim), buffer state in
 //! [`arbiter`](crate::arbiter), path selection in
@@ -13,10 +20,10 @@ use crate::packet::{Flit, Message, Packet, NO_XFER};
 use crate::resilience::{backoff_deadline, DropCause, Transfer, XferState};
 use crate::sim::FlitSim;
 use crate::traffic_mode::TrafficMode;
-use crate::util::{ix, route_port, small_u32};
+use crate::util::{ix, route_port, word_ids};
 use lmpr_core::Router;
 use std::cmp::Reverse;
-use xgft::PnId;
+use xgft::{PathId, PnId};
 
 use crate::config::{FaultPolicy, RetxConfig};
 
@@ -113,19 +120,13 @@ impl<R: Router> FlitSim<R> {
             return;
         }
         let choice = self.sources[ix(src)].pick_message_path(paths.len());
-        let route: Box<[u16]> = self
-            .topo
-            .path_output_ports(PnId(src), dst, paths[choice])
-            .into_iter()
-            .map(route_port)
-            .collect();
-        if route.is_empty() {
+        let route = self.packed_route(PnId(src), dst, paths[choice]);
+        let Some(&first_port) = route.first() else {
             debug_assert!(false, "a transfer can never be a self-pair");
             self.arm_timeout(xfer, sends);
             self.path_buf = paths;
             return;
-        }
-        let first_port = usize::from(route[0]);
+        };
         let pkt = self.packets.insert(Packet {
             msg,
             len: self.cfg.packet_flits,
@@ -140,9 +141,30 @@ impl<R: Router> FlitSim<R> {
             t.ever_sent = true;
             t.live_copies += 1;
         }
-        self.sources[ix(src)].queues[first_port].push_back(StreamingPacket { pkt, next_seq: 0 });
+        self.queue_at_source(src, first_port, pkt);
         self.arm_timeout(xfer, sends);
         self.path_buf = paths;
+    }
+
+    /// The output port to take at each node of a path, packed as a
+    /// packet record stores it: one allocation, filled in place.
+    fn packed_route(&self, s: PnId, d: PnId, path: PathId) -> Box<[u16]> {
+        let mut route = Vec::with_capacity(2 * self.topo.nca_level(s, d));
+        self.topo.walk_path(s, d, path, |link| {
+            route.push(route_port(self.topo.endpoints(link).from_port));
+        });
+        route.into_boxed_slice()
+    }
+
+    /// Queue a fresh packet behind source `pn`'s up port `local`.
+    fn queue_at_source(&mut self, pn: u32, local: u16, pkt: u32) {
+        self.sources[ix(pn)].queues[usize::from(local)].push_back(StreamingPacket {
+            pkt,
+            next_seq: 0,
+            len: self.cfg.packet_flits,
+        });
+        self.src_ready
+            .set(self.graph.port_gid(pn, u32::from(local)));
     }
 
     /// Create a transfer record for one reliable packet. `queued` marks
@@ -195,17 +217,18 @@ impl<R: Router> FlitSim<R> {
     // Stage 1: ejection at processing nodes.
     // ------------------------------------------------------------------
     pub(crate) fn eject(&mut self) {
-        for pn in 0..self.graph.num_pns() {
-            for port in self.graph.ports_of(pn) {
-                let Some(&f) = self.arb.in_buf[ix(port)][0].front() else {
+        for w in 0..self.arb.eject_words() {
+            for port in word_ids(w, self.arb.eject_ready()[ix(w)]) {
+                let Some(f) = self.arb.in_head(port, 0) else {
+                    debug_assert!(false, "ejection worklist names an empty queue");
                     continue;
                 };
                 if f.entered >= self.now {
                     continue; // arrived this cycle; consumable next cycle
                 }
-                self.arb.in_buf[ix(port)][0].pop_front();
+                self.arb.pop_in(port, 0);
                 self.arb.credits[ix(self.graph.peer(port))] += 1;
-                self.deliver(pn, f);
+                self.deliver(self.graph.port_owner(port), f);
             }
         }
     }
@@ -221,7 +244,7 @@ impl<R: Router> FlitSim<R> {
             pkt.route.len(),
             "flit ejected mid-route"
         );
-        let (msg_key, is_tail, len, xfer) = (pkt.msg, pkt.is_tail(f.seq), pkt.len, pkt.xfer);
+        let (msg_key, is_tail, len, xfer) = (pkt.msg, f.tail, pkt.len, pkt.xfer);
         self.progress = true;
         if xfer != NO_XFER {
             self.deliver_reliable(f, msg_key, is_tail, len, xfer);
@@ -310,12 +333,12 @@ impl<R: Router> FlitSim<R> {
         let cap = ix(self.cfg.buffer_flits());
         for node in self.graph.num_pns()..self.graph.num_nodes() {
             let ports = self.graph.ports_of(node);
-            let n_ports = ix(ports.end - ports.start);
-            for out in ports.clone() {
-                let out_local = ix(out - ports.start);
+            let (start, radix) = (ports.start, ports.end - ports.start);
+            for out in ports {
+                let out_local = out - start;
                 if let Some((in_gid, pkt_key)) = self.arb.grant[ix(out)] {
                     // A packet holds this output until its tail passes.
-                    let Some(&f) = self.arb.in_buf[ix(in_gid)][out_local].front() else {
+                    let Some(f) = self.arb.in_head(in_gid, out_local) else {
                         continue;
                     };
                     if f.entered >= self.now {
@@ -325,67 +348,55 @@ impl<R: Router> FlitSim<R> {
                         f.pkt, pkt_key,
                         "foreign packet at VOQ head while output is granted"
                     );
-                    if self.arb.out_buf[ix(out)].len() == cap {
+                    if self.arb.out_len(out) == cap {
                         continue; // output staging full; packet waits at the input
                     }
                     self.move_through_crossbar(in_gid, out_local, out);
-                    // A vacant record means the tail already passed some
-                    // impossible way; releasing the grant keeps the port
-                    // usable either way.
-                    if self.packets.get(f.pkt).is_none_or(|p| p.is_tail(f.seq)) {
+                    if f.tail {
                         self.arb.grant[ix(out)] = None;
                     }
                     continue;
                 }
-                // No grant: round-robin over the node's inputs for a VOQ
-                // head flit destined here.
+                // No grant: round-robin over the node's inputs that have
+                // a flit queued for this output (one word test when none
+                // has).
                 //
                 // Note the whole-packet VCT reservation applies at the
                 // *link* (downstream input buffer); within the switch a
                 // blocked packet may straddle the input and output
                 // buffers, as in real combined-queue VCT switches.
-                if self.arb.out_buf[ix(out)].len() == cap {
+                if !self.arb.has_request(out) || self.arb.out_len(out) == cap {
                     continue;
                 }
-                let start = ix(self.arb.rr_ptr[ix(out)]);
-                for k in 0..n_ports {
-                    let local_in = (start + k) % n_ports;
-                    let in_gid = ports.start + small_u32(local_in);
-                    let Some(&f) = self.arb.in_buf[ix(in_gid)][out_local].front() else {
-                        continue;
-                    };
-                    if f.entered >= self.now {
-                        continue;
-                    }
-                    debug_assert!(f.is_head(), "VOQ head must be a packet head between grants");
-                    let Some(pkt) = self.packets.get(f.pkt) else {
-                        debug_assert!(false, "VOQ head references a vacant packet record");
-                        continue;
-                    };
-                    let len = pkt.len;
-                    debug_assert_eq!(
-                        pkt.route.get(usize::from(f.hop)).map(|&p| usize::from(p)),
-                        Some(out_local)
-                    );
-                    self.move_through_crossbar(in_gid, out_local, out);
-                    if len > 1 {
-                        self.arb.grant[ix(out)] = Some((in_gid, f.pkt));
-                    }
-                    self.arb.rr_ptr[ix(out)] = (small_u32(local_in) + 1) % small_u32(n_ports);
-                    break;
+                let Some((in_gid, f)) = self.arb.arbitrate(out, start, self.now) else {
+                    continue;
+                };
+                debug_assert!(f.is_head(), "VOQ head must be a packet head between grants");
+                debug_assert_eq!(
+                    self.packets
+                        .get(f.pkt)
+                        .and_then(|p| p.route.get(usize::from(f.hop)))
+                        .map(|&p| u32::from(p)),
+                    Some(out_local),
+                    "VOQ head is not routed through this output"
+                );
+                self.move_through_crossbar(in_gid, out_local, out);
+                if !f.tail {
+                    self.arb.grant[ix(out)] = Some((in_gid, f.pkt));
                 }
+                self.arb.rr_ptr[ix(out)] = (in_gid - start + 1) % radix;
             }
         }
     }
 
-    fn move_through_crossbar(&mut self, in_gid: u32, voq: usize, out_gid: u32) {
-        let Some(mut f) = self.arb.in_buf[ix(in_gid)][voq].pop_front() else {
+    fn move_through_crossbar(&mut self, in_gid: u32, voq: u32, out_gid: u32) {
+        let Some(mut f) = self.arb.pop_in(in_gid, voq) else {
             debug_assert!(false, "VOQ head vanished between inspection and move");
             return;
         };
         self.arb.credits[ix(self.graph.peer(in_gid))] += 1;
         f.entered = self.now;
-        self.arb.out_buf[ix(out_gid)].push_back(f);
+        self.arb.push_out(out_gid, f);
         self.progress = true;
     }
 
@@ -393,80 +404,99 @@ impl<R: Router> FlitSim<R> {
     // Stage 3: link transfer (output buffer → downstream input buffer).
     // ------------------------------------------------------------------
     pub(crate) fn link_transfer(&mut self) {
-        for out in 0..self.graph.num_ports() {
-            let o = ix(out);
-            let Some(&f) = self.arb.out_buf[o].front() else {
-                continue;
-            };
-            if f.entered >= self.now {
-                continue;
+        for w in 0..self.arb.out_ready().num_words() {
+            for out in word_ids(w, self.arb.out_ready().word(w)) {
+                self.transfer_over_link(out);
             }
-            // A packet truncated here earlier keeps draining here, even
-            // if the cable has recovered since — downstream must never
-            // see a headless packet.
-            if self.discarding[o] == Some(f.pkt) {
-                self.drop_front_flit(o);
-                continue;
-            }
-            // Failure takes effect at packet granularity: a packet that
-            // started crossing before the cable died completes.
-            if self.failed_out[o] && self.link_mid_packet[o] != Some(f.pkt) {
-                match self.fault_policy {
-                    // A dead cable transfers nothing; traffic routed over
-                    // it backs up until the link recovers (or the
-                    // watchdog aborts the run).
-                    FaultPolicy::Block => continue,
-                    // Discard at the failure point. The rest of the
-                    // packet drains via the `discarding` marker; no
-                    // credit moves and nothing downstream ever sees the
-                    // packet. The packet record is retired when its tail
-                    // drops (a dropped *transfer* copy releases its pin
-                    // on the transfer record there).
-                    FaultPolicy::Drop => {
-                        self.drop_front_flit(o);
-                        continue;
-                    }
-                }
-            }
-            let need = if f.is_head() {
-                self.packets.get(f.pkt).map_or(1, |p| u32::from(p.len))
-            } else {
-                debug_assert!(
-                    self.arb.credits[o] >= 1,
-                    "credit reservation violated for a body flit"
-                );
-                1
-            };
-            if self.arb.credits[o] < need {
-                continue;
-            }
-            let Some(mut f) = self.arb.out_buf[o].pop_front() else {
-                continue;
-            };
-            self.arb.credits[o] -= 1;
-            self.progress = true;
-            if self.in_window() {
-                self.link_busy[o] += 1;
-            }
-            let is_tail = self.packets.get(f.pkt).is_none_or(|p| p.is_tail(f.seq));
-            if is_tail {
-                self.link_mid_packet[o] = None;
-            } else if f.is_head() {
-                self.link_mid_packet[o] = Some(f.pkt);
-            }
-            f.hop += 1;
-            f.entered = self.now;
-            let dst_in = self.graph.peer(out);
-            let voq = self.voq_of(dst_in, &f);
-            self.arb.in_buf[ix(dst_in)][voq].push_back(f);
         }
     }
 
-    /// Discard the flit at the head of output `o`, maintaining the
+    /// Move the flit at the head of output `out` across its cable, if
+    /// it may move this cycle.
+    fn transfer_over_link(&mut self, out: u32) {
+        let o = ix(out);
+        let Some(f) = self.arb.out_head(out) else {
+            debug_assert!(false, "output worklist names an empty buffer");
+            return;
+        };
+        if f.entered >= self.now {
+            return;
+        }
+        // A packet truncated here earlier keeps draining here, even
+        // if the cable has recovered since — downstream must never
+        // see a headless packet.
+        if self.discarding[o] == Some(f.pkt) {
+            self.drop_front_flit(out);
+            return;
+        }
+        // Failure takes effect at packet granularity: a packet that
+        // started crossing before the cable died completes.
+        if self.failed_out[o] && self.link_mid_packet[o] != Some(f.pkt) {
+            match self.fault_policy {
+                // A dead cable transfers nothing; traffic routed over
+                // it backs up until the link recovers (or the
+                // watchdog aborts the run).
+                FaultPolicy::Block => {}
+                // Discard at the failure point. The rest of the
+                // packet drains via the `discarding` marker; no
+                // credit moves and nothing downstream ever sees the
+                // packet. The packet record is retired when its tail
+                // drops (a dropped *transfer* copy releases its pin
+                // on the transfer record there).
+                FaultPolicy::Drop => self.drop_front_flit(out),
+            }
+            return;
+        }
+        // A head reserves downstream room for its whole packet and
+        // picks the VOQ it joins there — the local output it will leave
+        // through, or queue 0 at a processing node (ejection). That is
+        // this hop's one look-up of the packet record; the body follows
+        // the head into `link_voq`.
+        let (need, voq) = if f.is_head() {
+            self.packets.get(f.pkt).map_or((1, 0), |p| {
+                let next = p.route.get(usize::from(f.hop) + 1);
+                debug_assert_eq!(
+                    next.is_none(),
+                    self.graph
+                        .is_pn(self.graph.port_owner(self.graph.peer(out))),
+                    "a route ends exactly where a flit reaches a PN"
+                );
+                (u32::from(p.len), next.copied().unwrap_or(0))
+            })
+        } else {
+            debug_assert!(
+                self.arb.credits[o] >= 1,
+                "credit reservation violated for a body flit"
+            );
+            (1, self.link_voq[o])
+        };
+        if self.arb.credits[o] < need {
+            return;
+        }
+        let Some(mut f) = self.arb.pop_out(out) else {
+            return;
+        };
+        self.arb.credits[o] -= 1;
+        self.progress = true;
+        if self.in_window() {
+            self.link_busy[o] += 1;
+        }
+        if f.tail {
+            self.link_mid_packet[o] = None;
+        } else if f.is_head() {
+            self.link_mid_packet[o] = Some(f.pkt);
+            self.link_voq[o] = voq;
+        }
+        f.hop += 1;
+        f.entered = self.now;
+        self.arb.push_in(self.graph.peer(out), u32::from(voq), f);
+    }
+
+    /// Discard the flit at the head of output `out`, maintaining the
     /// truncated-packet drain marker and the drop counters. When the
     /// tail goes, the packet record is retired.
-    fn drop_front_flit(&mut self, o: usize) {
-        let Some(f) = self.arb.out_buf[o].pop_front() else {
+    fn drop_front_flit(&mut self, out: u32) {
+        let Some(f) = self.arb.pop_out(out) else {
             return;
         };
         self.total_dropped += 1;
@@ -474,12 +504,11 @@ impl<R: Router> FlitSim<R> {
             self.w_dropped += 1;
         }
         self.progress = true;
-        let is_tail = self.packets.get(f.pkt).is_none_or(|p| p.is_tail(f.seq));
-        if is_tail {
-            self.discarding[o] = None;
+        if f.tail {
+            self.discarding[ix(out)] = None;
             self.retire_dropped_packet(f.pkt);
         } else {
-            self.discarding[o] = Some(f.pkt);
+            self.discarding[ix(out)] = Some(f.pkt);
         }
     }
 
@@ -499,45 +528,19 @@ impl<R: Router> FlitSim<R> {
         self.ledger.maybe_reap(pkt.xfer);
     }
 
-    /// VOQ a flit arriving on input port `in_gid` must join: the local
-    /// output it will leave through, or queue 0 at a processing node
-    /// (ejection).
-    fn voq_of(&self, in_gid: u32, f: &Flit) -> usize {
-        let owner = self.graph.port_owner(in_gid);
-        if self.graph.is_pn(owner) {
-            debug_assert!(
-                self.packets
-                    .get(f.pkt)
-                    .is_some_and(|p| usize::from(f.hop) == p.route.len()),
-                "a flit reaching a PN must be at its final hop"
-            );
-            0
-        } else {
-            debug_assert!(
-                self.packets
-                    .get(f.pkt)
-                    .is_some_and(|p| usize::from(f.hop) < p.route.len()),
-                "a flit at a switch must have a next hop"
-            );
-            self.packets
-                .get(f.pkt)
-                .and_then(|p| p.route.get(usize::from(f.hop)))
-                .map_or(0, |&p| usize::from(p))
-        }
-    }
-
     // ------------------------------------------------------------------
     // Stage 4: message creation and source injection.
     // ------------------------------------------------------------------
     pub(crate) fn inject(&mut self) {
         let rate = self.cfg.message_rate();
-        let num_pns = self.graph.num_pns();
-        for pn in 0..num_pns {
+        for pn in 0..self.graph.num_pns() {
             while self.sources[ix(pn)].poll_arrival(self.now, rate) {
                 self.create_message(pn);
             }
-            self.stream_source_flits(pn);
         }
+        // Streaming touches only a source's own queues and NIC buffers,
+        // so it commutes with the other sources' arrivals.
+        self.stream_source_flits();
     }
 
     fn create_message(&mut self, pn: u32) {
@@ -596,12 +599,7 @@ impl<R: Router> FlitSim<R> {
                 paths.len(),
                 per_message_choice,
             );
-            let route: Box<[u16]> = self
-                .topo
-                .path_output_ports(src, dst, paths[choice])
-                .into_iter()
-                .map(route_port)
-                .collect();
+            let route = self.packed_route(src, dst, paths[choice]);
             debug_assert!(!route.is_empty(), "traffic modes never self-address");
             let xfer = if retx.is_some() {
                 let x = self.new_transfer(pn, dst, msg, true);
@@ -610,7 +608,7 @@ impl<R: Router> FlitSim<R> {
             } else {
                 NO_XFER
             };
-            let first_port = usize::from(route[0]);
+            let first_port = route[0];
             let pkt = self.packets.insert(Packet {
                 msg,
                 len: self.cfg.packet_flits,
@@ -618,43 +616,44 @@ impl<R: Router> FlitSim<R> {
                 dst,
                 xfer,
             });
-            self.sources[ix(pn)].queues[first_port].push_back(StreamingPacket { pkt, next_seq: 0 });
+            self.queue_at_source(pn, first_port, pkt);
         }
         self.path_buf = paths;
     }
 
-    fn stream_source_flits(&mut self, pn: u32) {
+    /// One flit from every source queue that has a packet waiting and
+    /// NIC staging room. A PN's port gid names both the queue and the
+    /// output buffer it streams into.
+    fn stream_source_flits(&mut self) {
         let cap = ix(self.cfg.buffer_flits());
-        let n_ports = self.sources[ix(pn)].queues.len();
-        for local in 0..n_ports {
-            let Some(&sp) = self.sources[ix(pn)].queues[local].front() else {
-                continue;
-            };
-            let Some(len) = self.packets.get(sp.pkt).map(|p| p.len) else {
-                debug_assert!(false, "queued packet references a vacant record");
-                self.sources[ix(pn)].queues[local].pop_front();
-                continue;
-            };
-            let out = ix(self.graph.port_gid(pn, small_u32(local)));
-            if cap == self.arb.out_buf[out].len() {
-                continue; // NIC staging buffer full
-            }
-            self.arb.out_buf[out].push_back(Flit {
-                pkt: sp.pkt,
-                seq: sp.next_seq,
-                hop: 0,
-                entered: self.now,
-            });
-            self.total_injected += 1;
-            self.progress = true;
-            if self.in_window() {
-                self.w_injected += 1;
-            }
-            let q = &mut self.sources[ix(pn)].queues[local];
-            if let Some(head) = q.front_mut() {
+        for w in 0..self.src_ready.num_words() {
+            for out in word_ids(w, self.src_ready.word(w)) {
+                if cap == self.arb.out_len(out) {
+                    continue; // NIC staging buffer full
+                }
+                let pn = self.graph.port_owner(out);
+                let q = &mut self.sources[ix(pn)].queues[ix(self.graph.local_port(out))];
+                let Some(head) = q.front_mut() else {
+                    debug_assert!(false, "source worklist names an empty queue");
+                    continue;
+                };
+                let f = Flit {
+                    pkt: head.pkt,
+                    seq: head.next_seq,
+                    hop: 0,
+                    entered: self.now,
+                    tail: head.next_seq + 1 == head.len,
+                };
                 head.next_seq += 1;
-                if head.next_seq == len {
+                if f.tail {
                     q.pop_front();
+                    self.src_ready.clear_if(out, q.is_empty());
+                }
+                self.arb.push_out(out, f);
+                self.total_injected += 1;
+                self.progress = true;
+                if self.in_window() {
+                    self.w_injected += 1;
                 }
             }
         }

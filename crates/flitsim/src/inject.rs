@@ -14,6 +14,10 @@ pub struct StreamingPacket {
     pub pkt: u32,
     /// Next flit sequence number to inject.
     pub next_seq: u16,
+    /// The packet's length in flits, copied from its record when it is
+    /// queued (a restore copies it again) so streaming never looks the
+    /// record up.
+    pub len: u16,
 }
 
 /// Per-processing-node traffic source: Poisson message arrivals with
@@ -208,10 +212,12 @@ mod tests {
         src.queues[0].push_back(StreamingPacket {
             pkt: 0,
             next_seq: 0,
+            len: 1,
         });
         src.queues[1].push_back(StreamingPacket {
             pkt: 1,
             next_seq: 0,
+            len: 1,
         });
         assert_eq!(src.backlog(), 2);
     }

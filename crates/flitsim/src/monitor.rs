@@ -11,8 +11,10 @@
 //! | `RT-DUP` | duplicates can only exist under retransmission; resolved transfers never exceed created ones |
 //! | `RT-PROGRESS` | flits keep moving while work is pending (online watchdog) |
 //! | `RT-SELECT` | every cached live selection is duplicate-free and survives the routing view's fault state (checked in the simulator, which owns the cache) |
+//! | `RT-OCCUPANCY` | every piece of derived state — crossbar request rows, the output/ejection/source worklists, in-flight VOQs, copied packet lengths — equals a recomputation from the buffers and records it is derived from |
 
-use crate::sim::FlitSim;
+use crate::sim::{downstream_voq, scan_src_ready, FlitSim};
+use crate::util::small_u32;
 use lmpr_core::Router;
 use lmpr_verify::{Diagnostic, RuleId, Severity, Witness};
 
@@ -222,15 +224,56 @@ impl<R: Router> FlitSim<R> {
         }
     }
 
+    /// `RT-OCCUPANCY`: the first piece of derived state, if any, that
+    /// disagrees with the state it is derived from — the arbiter's
+    /// request rows and worklists, the source worklist, the in-flight
+    /// VOQ of every cable a packet is crossing, and the per-flit and
+    /// per-queued-packet copies of packet lengths.
+    pub(crate) fn occupancy_error(&self) -> Option<&'static str> {
+        if let Some(what) = self.arb.occupancy_error() {
+            return Some(what);
+        }
+        if self.src_ready != scan_src_ready(&self.graph, &self.sources) {
+            return Some("the source worklist disagrees with the source queues");
+        }
+        let stale_voq = |(out, mid): (usize, &Option<u32>)| {
+            mid.and_then(|pkt| self.packets.get(pkt)).is_some_and(|p| {
+                self.link_voq[out] != downstream_voq(&self.graph, small_u32(out), &p.route)
+            })
+        };
+        if self.link_mid_packet.iter().enumerate().any(stale_voq) {
+            return Some("a cable's in-flight VOQ disagrees with the crossing packet's route");
+        }
+        let tail_of = |pkt, seq| self.packets.get(pkt).is_none_or(|p| p.is_tail(seq));
+        if self.arb.flits().any(|f| f.tail != tail_of(f.pkt, f.seq)) {
+            return Some("a flit's tail flag disagrees with its packet's length");
+        }
+        let len_of = |pkt| self.packets.get(pkt).map(|p| p.len);
+        let mut queued = self.sources.iter().flat_map(|s| s.queues.iter().flatten());
+        if queued.any(|sp| Some(sp.len) != len_of(sp.pkt)) {
+            return Some("a queued packet's length disagrees with its record");
+        }
+        None
+    }
+
     /// Run every runtime invariant monitor against the current state:
     /// flit and transfer conservation (`RT-CONSERVE`), duplicate
     /// delivery (`RT-DUP`), online progress (`RT-PROGRESS`), and
     /// validity of every cached routing selection against the routing
-    /// view's fault state (`RT-SELECT`). An empty result is the runtime
-    /// analogue of a verification certificate.
+    /// view's fault state (`RT-SELECT`), and agreement of the occupancy
+    /// worklists and other derived state with the buffers
+    /// (`RT-OCCUPANCY`). An empty result is the runtime analogue of a
+    /// verification certificate.
     pub fn check_invariants(&self) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         self.conservation_ledger().check(&mut out);
+        if let Some(what) = self.occupancy_error() {
+            out.push(Diagnostic::error(
+                RuleId::RtOccupancy,
+                format!("derived state went stale at cycle {}: {what}", self.now),
+                Witness::None,
+            ));
+        }
         check_progress(
             self.now.saturating_sub(self.last_progress),
             self.cfg.watchdog_cycles,
@@ -353,6 +396,74 @@ mod tests {
         assert!(out
             .iter()
             .any(|d| d.rule == RuleId::RtDuplicate && d.message.contains("twice")));
+    }
+
+    /// A busy mid-run simulator: packets crossing cables, grants held.
+    fn busy_sim() -> FlitSim<lmpr_core::DModK> {
+        use xgft::{Topology, XgftSpec};
+        let topo = Topology::new(XgftSpec::new(&[4, 4], &[1, 4]).expect("valid spec"));
+        let cfg = crate::SimConfig {
+            offered_load: 0.6,
+            ..crate::SimConfig::default()
+        };
+        let mut sim = FlitSim::new(&topo, lmpr_core::DModK, cfg).expect("valid config");
+        for _ in 0..600 {
+            sim.step();
+        }
+        assert!(sim.arb.grant.iter().any(Option::is_some));
+        assert!(sim.link_mid_packet.iter().any(Option::is_some));
+        sim
+    }
+
+    fn occupancy_message(sim: &FlitSim<lmpr_core::DModK>) -> Option<String> {
+        let mut hits = sim.check_invariants().into_iter();
+        let hit = hits.find(|d| d.rule == RuleId::RtOccupancy)?;
+        assert_eq!(hit.severity, Severity::Error);
+        Some(hit.message)
+    }
+
+    #[test]
+    fn stale_derived_state_fires_rt_occupancy() {
+        let sim = busy_sim();
+        assert_eq!(occupancy_message(&sim), None);
+
+        let mut stale = busy_sim();
+        let switch_port = stale.graph.ports_of(stale.graph.num_pns()).start;
+        stale.arb.corrupt_in_ready(switch_port, 0);
+        assert!(occupancy_message(&stale).is_some_and(|m| m.contains("request row")));
+
+        let mut stale = busy_sim();
+        stale.arb.corrupt_in_ready(0, 0);
+        assert!(occupancy_message(&stale).is_some_and(|m| m.contains("ejection worklist")));
+
+        let mut stale = busy_sim();
+        let queued = (0..stale.src_ready.num_words()).any(|w| stale.src_ready.word(w) != 0);
+        assert!(queued, "some source must be mid-packet at 60% load");
+        stale.src_ready = crate::util::BitSet::new(stale.graph.num_pn_ports());
+        assert!(occupancy_message(&stale).is_some_and(|m| m.contains("source worklist")));
+
+        let mut stale = busy_sim();
+        let crossing = stale.link_mid_packet.iter().position(Option::is_some);
+        stale.link_voq[crossing.expect("asserted by busy_sim")] ^= 1;
+        assert!(occupancy_message(&stale).is_some_and(|m| m.contains("in-flight VOQ")));
+    }
+
+    #[test]
+    fn restore_rebuilds_the_in_flight_voqs_from_routes_alone() {
+        // `link_voq` is noted from the crossing head's hop; a restore
+        // has no head to ask and derives it from the route and the
+        // cable's level. The two must agree wherever a packet is
+        // crossing (elsewhere the value is never read).
+        let sim = busy_sim();
+        let restored =
+            FlitSim::restore(lmpr_core::DModK, &sim.snapshot()).expect("snapshot restores");
+        assert_eq!(restored.src_ready, sim.src_ready);
+        for (out, mid) in sim.link_mid_packet.iter().enumerate() {
+            if mid.is_some() {
+                assert_eq!(restored.link_voq[out], sim.link_voq[out], "cable {out}");
+            }
+        }
+        assert_eq!(restored.check_invariants(), sim.check_invariants());
     }
 
     #[test]

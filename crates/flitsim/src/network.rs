@@ -98,6 +98,12 @@ impl PortGraph {
         self.num_pns
     }
 
+    /// Number of ports owned by processing nodes. PNs are the first
+    /// node gids, so these are the port gids `0 .. num_pn_ports()`.
+    pub fn num_pn_ports(&self) -> u32 {
+        self.port_base[ix(self.num_pns)]
+    }
+
     /// Whether a node gid is a processing node.
     pub fn is_pn(&self, gid: u32) -> bool {
         gid < self.num_pns

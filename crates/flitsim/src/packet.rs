@@ -22,6 +22,11 @@ pub struct Flit {
     /// on a strictly later cycle. 64-bit so arbitrarily long resilience
     /// runs never wrap the timeline.
     pub entered: u64,
+    /// Whether this is the packet's tail flit (`seq + 1 == len`):
+    /// derived from the packet record when the flit is created, so the
+    /// stages that only need to know where a packet ends never look the
+    /// record up. Not serialized; a restore recomputes it.
+    pub tail: bool,
 }
 
 impl Flit {
@@ -88,14 +93,16 @@ mod tests {
             pkt: 0,
             seq: 0,
             hop: 0,
-            entered: 0
+            entered: 0,
+            tail: false,
         }
         .is_head());
         assert!(!Flit {
             pkt: 0,
             seq: 1,
             hop: 0,
-            entered: 0
+            entered: 0,
+            tail: false,
         }
         .is_head());
         assert!(p.is_tail(3));

@@ -40,13 +40,7 @@ pub(crate) struct ViewBatch {
 pub(crate) fn affected_links(topo: &Topology, change: FaultChange) -> Vec<DirectedLinkId> {
     match change {
         FaultChange::LinkDown(l) | FaultChange::LinkUp(l) => vec![l],
-        FaultChange::SwitchDown(n) | FaultChange::SwitchUp(n) => (0..topo.num_links())
-            .map(DirectedLinkId)
-            .filter(|&l| {
-                let e = topo.endpoints(l);
-                e.from == n || e.to == n
-            })
-            .collect(),
+        FaultChange::SwitchDown(n) | FaultChange::SwitchUp(n) => topo.incident_links(n),
     }
 }
 

@@ -17,7 +17,7 @@ use crate::resilience::RetxLedger;
 use crate::routing_view::RoutingView;
 use crate::stats::{percentile, SimStats};
 use crate::traffic_mode::TrafficMode;
-use crate::util::Slab;
+use crate::util::{ix, BitSet, Slab};
 use lmpr_core::{Router, SelectionStats};
 use lmpr_verify::Diagnostic;
 use xgft::{FaultSchedule, FaultSet, PathId, Topology};
@@ -59,6 +59,16 @@ pub struct FlitSim<R: Router> {
     /// died. Failure takes effect at packet granularity: a packet
     /// already crossing completes, the *next* head sees the dead link.
     pub(crate) link_mid_packet: Vec<Option<u32>>,
+    /// Per output port: the downstream VOQ the packet in
+    /// `link_mid_packet` joins, noted when its head crossed so its body
+    /// follows without consulting the packet record. Meaningful only
+    /// while a packet is crossing; derived (a restore recomputes it
+    /// from the packet's route, see [`downstream_voq`]).
+    pub(crate) link_voq: Vec<u16>,
+    /// The source queues holding a packet, by the port gid of the PN up
+    /// port they stream into — the injection stage's worklist. Derived
+    /// from `sources` (a restore rescans them).
+    pub(crate) src_ready: BitSet,
 
     /// Path selection: the shared engine, plus the lagged fault
     /// timeline for schedule-driven runs.
@@ -94,6 +104,37 @@ pub struct FlitSim<R: Router> {
     pub(crate) w_delays: Vec<u64>,
     /// Per-output-port busy cycles during the measurement window.
     pub(crate) link_busy: Vec<u64>,
+}
+
+/// The source-queue worklist ([`FlitSim::src_ready`]), rescanned from
+/// the queues: what a restore installs and `RT-OCCUPANCY` compares.
+pub(crate) fn scan_src_ready(graph: &PortGraph, sources: &[Source]) -> BitSet {
+    let mut ready = BitSet::new(graph.num_pn_ports());
+    for port in 0..graph.num_pn_ports() {
+        let queues = &sources[ix(graph.port_owner(port))].queues;
+        if !queues[ix(graph.local_port(port))].is_empty() {
+            ready.set(port);
+        }
+    }
+    ready
+}
+
+/// The VOQ a packet crossing output `out` joins at the far end
+/// ([`FlitSim::link_voq`]), from its route and the cable's place in the
+/// tree alone — no flit of the packet need be in sight. A route has an
+/// entry per node before the destination, and climbs a level per hop to
+/// its apex at the middle entry, so the node at level `l` is hop `l` on
+/// the way up and hop `len − l` on the way down; past the last entry is
+/// the destination PN and its single ejection queue.
+pub(crate) fn downstream_voq(graph: &PortGraph, out: u32, route: &[u16]) -> u16 {
+    let level = |port| usize::from(graph.node(graph.port_owner(port)).level);
+    let (here, there) = (level(out), level(graph.peer(out)));
+    let hop = if there > here {
+        Some(there)
+    } else {
+        route.len().checked_sub(there)
+    };
+    hop.and_then(|h| route.get(h)).copied().unwrap_or(0)
 }
 
 impl<R: Router> FlitSim<R> {
@@ -156,7 +197,6 @@ impl<R: Router> FlitSim<R> {
             topo: topo.clone(),
             cfg,
             traffic,
-            graph,
             now: 0,
             arb,
             packets: Slab::new(),
@@ -167,6 +207,9 @@ impl<R: Router> FlitSim<R> {
             fault_policy: policy,
             discarding: vec![None; ports],
             link_mid_packet: vec![None; ports],
+            link_voq: vec![0; ports],
+            src_ready: BitSet::new(graph.num_pn_ports()),
+            graph,
             routing: RoutingView::plain(router),
             retx: None,
             ledger: RetxLedger::default(),
@@ -317,6 +360,8 @@ impl<R: Router> FlitSim<R> {
     /// [`FlitSim::run`]).
     pub fn stats(&self) -> SimStats {
         let (reconv_events, reconv_sum_lag, reconv_max_lag) = self.routing.reconv_counters();
+        let mut delays = self.w_delays.clone();
+        delays.sort_unstable();
         SimStats {
             offered_load: self.cfg.offered_load,
             measure_cycles: self.cfg.measure_cycles,
@@ -330,9 +375,9 @@ impl<R: Router> FlitSim<R> {
             completed_messages: self.w_completed_messages,
             sum_message_delay: self.w_sum_delay,
             max_message_delay: self.w_max_delay,
-            delay_p50: percentile_of(&self.w_delays, 0.50),
-            delay_p95: percentile_of(&self.w_delays, 0.95),
-            delay_p99: percentile_of(&self.w_delays, 0.99),
+            delay_p50: percentile(&delays, 0.50),
+            delay_p95: percentile(&delays, 0.95),
+            delay_p99: percentile(&delays, 0.99),
             final_source_backlog: self.sources.iter().map(|s| s.backlog() as u64).sum(),
             transfers_created: self.ledger.created,
             transfers_delivered: self.ledger.delivered,
@@ -427,11 +472,4 @@ impl<R: Router> FlitSim<R> {
     pub(crate) fn in_window(&self) -> bool {
         self.now >= self.cfg.warmup_cycles && self.now < self.cfg.horizon()
     }
-}
-
-/// Sort-and-query helper over an unsorted delay sample.
-fn percentile_of(delays: &[u64], q: f64) -> f64 {
-    let mut sorted = delays.to_vec();
-    sorted.sort_unstable();
-    percentile(&sorted, q)
 }

@@ -26,10 +26,17 @@
 //!
 //! Everything *derivable* is rebuilt on restore: the [`Topology`] from
 //! its spec, the port graph, the physical and routing-view fault sets
-//! (by replaying schedule prefixes), and the cached selections
-//! themselves (recomputed per key against the rebuilt view — the
-//! cached-vs-cold property test certifies the recomputation equals the
-//! original cache).
+//! (by replaying schedule prefixes), the cached selections themselves
+//! (recomputed per key against the rebuilt view — the cached-vs-cold
+//! property test certifies the recomputation equals the original
+//! cache), and the occupancy state the cycle stages steer by: the
+//! arbiter's request rows and worklists and the source worklist
+//! (rescanned from the buffers and queues), each flit's tail flag and
+//! each queued packet's length (from the packet records), and the
+//! in-flight VOQ of every cable a packet is crossing (from its route).
+//! Serializing any of it would only add bytes that can disagree with
+//! the buffers; the `RT-OCCUPANCY` monitor checks it against the same
+//! recomputation.
 
 use crate::arbiter::Arbiter;
 use crate::config::{FaultPolicy, PathPolicy, RetxConfig, SimConfig};
@@ -38,9 +45,9 @@ use crate::network::PortGraph;
 use crate::packet::{Flit, Message, Packet};
 use crate::resilience::{DropCause, RetxLedger, Transfer, XferState};
 use crate::routing_view::{RoutingView, ViewBatch};
-use crate::sim::FlitSim;
+use crate::sim::{downstream_voq, scan_src_ready, FlitSim};
 use crate::traffic_mode::TrafficMode;
-use crate::util::Slab;
+use crate::util::{ix, small_u32, Slab};
 use lmpr_core::{Router, SelectionStats};
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
@@ -354,12 +361,14 @@ fn enc_flit(e: &mut Enc, f: &Flit) {
     e.u64(f.entered);
 }
 
-fn dec_flit(d: &mut Dec<'_>) -> DecResult<Flit> {
+fn dec_flit(d: &mut Dec<'_>, packets: &Slab<Packet>) -> DecResult<Flit> {
+    let (pkt, seq) = (d.u32()?, d.u16()?);
     Ok(Flit {
-        pkt: d.u32()?,
-        seq: d.u16()?,
+        pkt,
+        seq,
         hop: d.u8()?,
         entered: d.u64()?,
+        tail: packets.get(pkt).is_none_or(|p| p.is_tail(seq)),
     })
 }
 
@@ -370,11 +379,11 @@ fn enc_flit_queue(e: &mut Enc, q: &VecDeque<Flit>) {
     }
 }
 
-fn dec_flit_queue(d: &mut Dec<'_>) -> DecResult<VecDeque<Flit>> {
+fn dec_flit_queue(d: &mut Dec<'_>, packets: &Slab<Packet>) -> DecResult<VecDeque<Flit>> {
     let n = d.seq_len(15)?;
     let mut q = VecDeque::with_capacity(n);
     for _ in 0..n {
-        q.push_back(dec_flit(d)?);
+        q.push_back(dec_flit(d, packets)?);
     }
     Ok(q)
 }
@@ -499,7 +508,7 @@ fn enc_sources(e: &mut Enc, sources: &[Source]) {
     }
 }
 
-fn dec_sources(d: &mut Dec<'_>) -> DecResult<Vec<Source>> {
+fn dec_sources(d: &mut Dec<'_>, packets: &Slab<Packet>) -> DecResult<Vec<Source>> {
     let n = d.seq_len(8)?;
     let mut sources = Vec::with_capacity(n);
     for _ in 0..n {
@@ -512,9 +521,14 @@ fn dec_sources(d: &mut Dec<'_>) -> DecResult<Vec<Source>> {
             let np = d.seq_len(6)?;
             let mut q = VecDeque::with_capacity(np);
             for _ in 0..np {
+                let pkt = d.u32()?;
                 q.push_back(StreamingPacket {
-                    pkt: d.u32()?,
+                    pkt,
                     next_seq: d.u16()?,
+                    len: packets
+                        .get(pkt)
+                        .ok_or(SnapshotError::Corrupt("queued packet has no record"))?
+                        .len,
                 });
             }
             queues.push(q);
@@ -525,15 +539,17 @@ fn dec_sources(d: &mut Dec<'_>) -> DecResult<Vec<Source>> {
 }
 
 fn enc_arbiter(e: &mut Enc, arb: &Arbiter) {
-    e.seq_len(arb.in_buf.len());
-    for voqs in &arb.in_buf {
+    let out_bufs = arb.out_bufs();
+    e.seq_len(out_bufs.len());
+    for port in 0..out_bufs.len() {
+        let voqs = arb.voqs_of(small_u32(port));
         e.seq_len(voqs.len());
         for q in voqs {
             enc_flit_queue(e, q);
         }
     }
-    e.seq_len(arb.out_buf.len());
-    for q in &arb.out_buf {
+    e.seq_len(out_bufs.len());
+    for q in out_bufs {
         enc_flit_queue(e, q);
     }
     e.seq_len(arb.credits.len());
@@ -557,21 +573,21 @@ fn enc_arbiter(e: &mut Enc, arb: &Arbiter) {
     }
 }
 
-fn dec_arbiter(d: &mut Dec<'_>) -> DecResult<Arbiter> {
+fn dec_arbiter(d: &mut Dec<'_>, graph: &PortGraph, packets: &Slab<Packet>) -> DecResult<Arbiter> {
     let np = d.seq_len(8)?;
     let mut in_buf = Vec::with_capacity(np);
     for _ in 0..np {
         let nv = d.seq_len(8)?;
         let mut voqs = Vec::with_capacity(nv);
         for _ in 0..nv {
-            voqs.push(dec_flit_queue(d)?);
+            voqs.push(dec_flit_queue(d, packets)?);
         }
         in_buf.push(voqs);
     }
     let no = d.seq_len(8)?;
     let mut out_buf = Vec::with_capacity(no);
     for _ in 0..no {
-        out_buf.push(dec_flit_queue(d)?);
+        out_buf.push(dec_flit_queue(d, packets)?);
     }
     let nc = d.seq_len(4)?;
     let mut credits = Vec::with_capacity(nc);
@@ -592,13 +608,9 @@ fn dec_arbiter(d: &mut Dec<'_>) -> DecResult<Arbiter> {
     for _ in 0..nr {
         rr_ptr.push(d.u32()?);
     }
-    Ok(Arbiter {
-        in_buf,
-        out_buf,
-        credits,
-        grant,
-        rr_ptr,
-    })
+    Arbiter::restore(graph, in_buf, out_buf, credits, grant, rr_ptr).ok_or(SnapshotError::Corrupt(
+        "port-indexed state does not match the topology",
+    ))
 }
 
 fn enc_ledger(e: &mut Enc, ledger: &RetxLedger) {
@@ -1038,8 +1050,8 @@ impl<R: Router> FlitSim<R> {
         }
         let packets = dec_packet_slab(&mut d)?;
         let messages = dec_message_slab(&mut d)?;
-        let sources = dec_sources(&mut d)?;
-        let arb = dec_arbiter(&mut d)?;
+        let sources = dec_sources(&mut d, &packets)?;
+        let arb = dec_arbiter(&mut d, &graph, &packets)?;
         let ledger = dec_ledger(&mut d)?;
         let routing = dec_routing(&mut d, &topo, router)?;
         d.finish()?;
@@ -1051,17 +1063,22 @@ impl<R: Router> FlitSim<R> {
             || discarding.len() != ports
             || link_mid_packet.len() != ports
             || link_busy.len() != ports
-            || arb.in_buf.len() != ports
-            || arb.out_buf.len() != ports
-            || arb.credits.len() != ports
-            || arb.grant.len() != ports
-            || arb.rr_ptr.len() != ports
             || sources.len() != graph.num_pns() as usize
+            || (0..graph.num_pns())
+                .any(|pn| sources[ix(pn)].queues.len() != graph.ports_of(pn).len())
         {
             return Err(SnapshotError::Corrupt(
                 "port-indexed state does not match the topology",
             ));
         }
+        let src_ready = scan_src_ready(&graph, &sources);
+        let link_voq = (0..graph.num_ports())
+            .map(|out| {
+                link_mid_packet[ix(out)]
+                    .and_then(|pkt| packets.get(pkt))
+                    .map_or(0, |p| downstream_voq(&graph, out, &p.route))
+            })
+            .collect();
 
         Ok(FlitSim {
             topo,
@@ -1078,6 +1095,8 @@ impl<R: Router> FlitSim<R> {
             fault_policy,
             discarding,
             link_mid_packet,
+            link_voq,
+            src_ready,
             routing,
             retx,
             ledger,

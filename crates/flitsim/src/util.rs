@@ -1,5 +1,6 @@
-//! Small utilities: index-width conversion helpers and a free-list
-//! slab for packet and message records.
+//! Small utilities: index-width conversion helpers, the bitsets behind
+//! the occupancy worklists, and a free-list slab for packet and message
+//! records.
 
 // ---------------------------------------------------------------------
 // Index-width helpers.
@@ -43,6 +44,101 @@ pub(crate) fn route_port(v: u32) -> u16 {
 pub(crate) fn small_u8(v: usize) -> u8 {
     debug_assert!(u8::try_from(v).is_ok(), "tree height outgrew u8 levels");
     v as u8
+}
+
+// ---------------------------------------------------------------------
+// Bitsets: the occupancy worklists of the cycle stages.
+
+/// A fixed-size set of `u32` ids, one bit each. The cycle stages walk
+/// it in ascending id order a word at a time — `for w in
+/// 0..set.num_words() { for id in word_ids(w, set.word(w)) { … } }` —
+/// copying each word before visiting its bits, so the visit of id `i`
+/// may clear bit `i` (and nothing in a stage ever sets a bit of the set
+/// it walks).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct BitSet {
+    words: Vec<u64>,
+}
+
+impl BitSet {
+    /// The empty set over ids `0..len`.
+    pub(crate) fn new(len: u32) -> Self {
+        BitSet {
+            words: vec![0; ix(len.div_ceil(64))],
+        }
+    }
+
+    #[inline]
+    pub(crate) fn set(&mut self, id: u32) {
+        self.words[ix(id / 64)] |= 1 << (id % 64);
+    }
+
+    /// Remove `id` if `cond` holds — as a masked store, for callers
+    /// whose condition the branch predictor cannot learn.
+    #[inline]
+    pub(crate) fn clear_if(&mut self, id: u32, cond: bool) {
+        self.words[ix(id / 64)] &= !(u64::from(cond) << (id % 64));
+    }
+
+    pub(crate) fn num_words(&self) -> u32 {
+        small_u32(self.words.len())
+    }
+
+    #[inline]
+    pub(crate) fn word(&self, w: u32) -> u64 {
+        self.words[ix(w)]
+    }
+
+    /// Number of ids in the set.
+    pub(crate) fn len(&self) -> usize {
+        self.words.iter().map(|w| ix(w.count_ones())).sum()
+    }
+}
+
+/// The positions of the set bits of one word, ascending.
+#[inline]
+fn ones(mut word: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros();
+            word &= word - 1;
+            bit
+        })
+    })
+}
+
+/// The ids in word `w` of a bitset, ascending: `64·w + b` for each set
+/// bit `b` of `word`.
+#[inline]
+pub(crate) fn word_ids(w: u32, word: u64) -> impl Iterator<Item = u32> {
+    ones(word).map(move |b| w * 64 + b)
+}
+
+/// The first set bit of a multi-word bit row that `accept` maps to
+/// `Some`, visiting the set bits in cyclic order from position `first`:
+/// the rest of `first`'s word, the following words, then around to the
+/// bits below `first`. Round-robin arbitration in one pass, with no cap
+/// on the row's width.
+#[inline]
+pub(crate) fn find_cyclic<T>(
+    row: &[u64],
+    first: u32,
+    mut accept: impl FnMut(u32) -> Option<T>,
+) -> Option<T> {
+    let words = small_u32(row.len());
+    let (first_word, from) = (first / 64, !0 << (first % 64));
+    for k in 0..=words {
+        let w = (first_word + k) % words;
+        let mask = match k {
+            0 => from,
+            _ if k == words => !from,
+            _ => !0,
+        };
+        if let Some(hit) = ones(row[ix(w)] & mask).find_map(|b| accept(w * 64 + b)) {
+            return Some(hit);
+        }
+    }
+    None
 }
 
 /// A minimal slab allocator: O(1) insert/remove with stable `u32` keys,
@@ -168,6 +264,50 @@ impl<T> Slab<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bitset_words_walk_ascending() {
+        let mut set = BitSet::new(200);
+        assert_eq!(set.num_words(), 4);
+        for id in [199, 0, 64, 63, 130] {
+            set.set(id);
+        }
+        set.clear_if(64, true);
+        set.clear_if(130, false);
+        set.clear_if(7, true); // absent: no-op
+        let ids: Vec<u32> = (0..set.num_words())
+            .flat_map(|w| word_ids(w, set.word(w)))
+            .collect();
+        assert_eq!(ids, vec![0, 63, 130, 199]);
+        assert_eq!(set.len(), 4);
+    }
+
+    #[test]
+    fn find_cyclic_visits_every_bit_once_from_any_start() {
+        let row = [1 | 1 << 5 | 1 << 63, 1 | 1 << 6, 1 << 2];
+        let order = |first| {
+            let mut seen = Vec::new();
+            let none: Option<()> = find_cyclic(&row, first, |b| {
+                seen.push(b);
+                None
+            });
+            assert!(none.is_none());
+            seen
+        };
+        assert_eq!(order(0), vec![0, 5, 63, 64, 70, 130]);
+        assert_eq!(order(5), vec![5, 63, 64, 70, 130, 0]);
+        assert_eq!(order(6), vec![63, 64, 70, 130, 0, 5]);
+        assert_eq!(order(64), vec![64, 70, 130, 0, 5, 63]);
+        assert_eq!(order(131), vec![0, 5, 63, 64, 70, 130]);
+        // One word (every radix up to 64): the same rotation.
+        let one = [0b1010_0110u64];
+        let firsts: Vec<Option<u32>> = (0..8).map(|f| find_cyclic(&one, f, Some)).collect();
+        let expect = [1, 1, 2, 5, 5, 5, 7, 7].map(Some);
+        assert_eq!(firsts, expect);
+        // The first *accepted* bit wins, not the first set one.
+        assert_eq!(find_cyclic(&one, 6, |b| (b != 7).then_some(b)), Some(1));
+        assert_eq!(find_cyclic(&[0u64, 0], 70, Some), None);
+    }
 
     #[test]
     fn insert_get_remove() {

@@ -9,7 +9,7 @@ use lmpr_flitsim::{
     ConfigError, FaultPolicy, FlitSim, PathPolicy, ResilienceConfig, RetxConfig, SimConfig,
     SimError, TrafficMode,
 };
-use lmpr_verify::Severity;
+use lmpr_verify::{Diagnostic, RuleId, Severity};
 use xgft::{FaultChange, FaultEvent, FaultSchedule, FaultSet, Topology, XgftSpec};
 
 fn small_topo() -> Topology {
@@ -603,4 +603,140 @@ fn bad_configs_are_typed_errors_not_panics() {
         .map(|_| ()),
         Err(SimError::Config(ConfigError::ZeroRetxTimeout))
     ));
+}
+
+/// Step `sim` to `until`, running the invariant monitors every `every`
+/// cycles, and return its `RT-OCCUPANCY` findings (other rules may
+/// legitimately warn, e.g. `RT-PROGRESS` behind a blocking fault).
+fn occupancy_findings_while_stepping<R: lmpr_core::Router>(
+    sim: &mut FlitSim<R>,
+    until: u64,
+    every: u64,
+) -> Vec<Diagnostic> {
+    let mut findings = Vec::new();
+    while sim.now() < until {
+        sim.step();
+        if sim.now().is_multiple_of(every) {
+            findings.extend(
+                sim.check_invariants()
+                    .into_iter()
+                    .filter(|d| d.rule == RuleId::RtOccupancy),
+            );
+        }
+    }
+    findings
+}
+
+/// The churn configuration of the occupancy tests: Poisson link churn,
+/// dropped packets, retransmission — every way a flit can leave a
+/// buffer.
+fn churn_sim(topo: &Topology) -> FlitSim<Disjoint> {
+    let cfg = quick_cfg(0.6);
+    let schedule = FaultSchedule::poisson(topo, 1e-4, 300.0, cfg.horizon(), 5);
+    assert!(!schedule.is_empty());
+    let res = ResilienceConfig {
+        detect_cycles: 20,
+        reconverge_cycles: 60,
+        retx: Some(RetxConfig {
+            timeout: 500,
+            max_retries: 4,
+        }),
+    };
+    FlitSim::with_schedule(
+        topo,
+        Disjoint::new(2),
+        cfg,
+        TrafficMode::Uniform,
+        schedule,
+        FaultPolicy::Drop,
+        res,
+    )
+    .expect("valid config")
+}
+
+#[test]
+fn occupancy_state_tracks_the_buffers_in_every_fault_mode() {
+    // RT-OCCUPANCY recomputes the request rows, the stage worklists and
+    // the other derived state from the buffers and compares. It must
+    // stay silent on a plain run, behind a static fault under either
+    // policy (Block jams queues full, Drop drains truncated packets),
+    // and under scheduled churn with retransmission.
+    let topo = small_topo();
+    let mut plain = FlitSim::new(&topo, Disjoint::new(2), quick_cfg(0.7)).expect("valid config");
+    let found = occupancy_findings_while_stepping(&mut plain, 3_000, 7);
+    assert!(found.is_empty(), "plain: {found:?}");
+    assert!(plain.lifetime_counters().1 > 0);
+
+    let mut faults = FaultSet::new();
+    faults.fail_link(topo.up_link(2, 0, 0));
+    for policy in [FaultPolicy::Block, FaultPolicy::Drop] {
+        let cfg = SimConfig {
+            watchdog_cycles: 0,
+            ..quick_cfg(0.5)
+        };
+        let mut sim =
+            FlitSim::with_faults(&topo, DModK, cfg, TrafficMode::Uniform, &faults, policy)
+                .expect("valid config");
+        let found = occupancy_findings_while_stepping(&mut sim, 3_000, 7);
+        assert!(found.is_empty(), "{policy:?}: {found:?}");
+        assert!(sim.lifetime_counters().1 > 0);
+        assert_eq!(
+            sim.dropped_in_lifetime() > 0,
+            policy == FaultPolicy::Drop,
+            "{policy:?} must exercise its own path"
+        );
+    }
+
+    let mut churn = churn_sim(&topo);
+    let found = occupancy_findings_while_stepping(&mut churn, 6_000, 7);
+    assert!(found.is_empty(), "churn: {found:?}");
+    let stats = churn.stats();
+    assert!(stats.reconvergence_events > 0 && stats.dropped_flits > 0);
+    assert!(stats.retransmitted_packets > 0);
+}
+
+#[test]
+fn occupancy_state_holds_on_a_switch_wider_than_one_word() {
+    // One level-1 switch with 70 ports: request rows and the ejection
+    // worklist both span two words, and round-robin pointers wrap
+    // across the word boundary.
+    let topo = Topology::new(XgftSpec::new(&[70], &[1]).unwrap());
+    let mut sim = FlitSim::new(&topo, DModK, quick_cfg(0.6)).expect("valid config");
+    assert_eq!(sim.graph().ports_of(topo.num_pns()).len(), 70);
+    let found = occupancy_findings_while_stepping(&mut sim, 4_000, 5);
+    assert!(found.is_empty(), "{found:?}");
+    let stats = sim.run().expect("no deadlock");
+    assert!(
+        (stats.accepted_throughput() - 0.6).abs() < 0.05,
+        "a single non-blocking switch must carry the offered load, got {}",
+        stats.accepted_throughput()
+    );
+    // Every port both sent and received: inputs and outputs on both
+    // sides of the word boundary arbitrated.
+    let util = sim.link_utilization();
+    assert!(util.iter().all(|&u| u > 0.3), "idle port: {util:?}");
+}
+
+#[test]
+fn occupancy_state_is_rebuilt_by_restore() {
+    // Snapshots never carry the derived state. Restore from snapshots
+    // taken at consecutive cycles under churn — with 16-flit packets in
+    // flight on most cables some are mid-packet with grants held at
+    // every one of them — and check the rebuilt state at once, then
+    // again after running on.
+    let topo = small_topo();
+    let mut sim = churn_sim(&topo);
+    while sim.now() < 2_500 {
+        sim.step();
+    }
+    for _ in 0..40 {
+        sim.step();
+        assert!(sim.flits_in_network() > 100, "the network must be busy");
+        let mut restored =
+            FlitSim::restore(Disjoint::new(2), &sim.snapshot()).expect("snapshot restores");
+        let diags = restored.check_invariants();
+        assert!(diags.is_empty(), "cycle {}: {diags:?}", sim.now());
+        let found = occupancy_findings_while_stepping(&mut restored, sim.now() + 50, 1);
+        assert!(found.is_empty(), "cycle {}: {found:?}", sim.now());
+    }
 }

@@ -82,6 +82,11 @@ pub enum RuleId {
     /// current fault view: a cached path crosses a link the routing
     /// layer already knows is dead, or the selection holds duplicates.
     RtSelection,
+    /// The simulator's derived occupancy state — crossbar request rows,
+    /// stage worklists, in-flight VOQs, copied packet lengths — no
+    /// longer equals a recomputation from the buffers and records it
+    /// is derived from.
+    RtOccupancy,
     /// A simulator snapshot did not round-trip: restoring it and
     /// re-serializing produced different bytes, or the restored state
     /// disagreed with the original (stats, conservation ledger).
@@ -154,6 +159,7 @@ impl RuleId {
             RuleId::RtDuplicate => "RT-DUP",
             RuleId::RtProgress => "RT-PROGRESS",
             RuleId::RtSelection => "RT-SELECT",
+            RuleId::RtOccupancy => "RT-OCCUPANCY",
             RuleId::SnapRoundtrip => "SNAP-ROUNDTRIP",
             RuleId::SnapReject => "SNAP-REJECT",
             RuleId::SnapResume => "SNAP-RESUME",

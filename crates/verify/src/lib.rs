@@ -54,7 +54,7 @@ pub use disjointness::{check_disjoint_fork, check_load_bounds};
 
 use lmpr_core::forwarding::{ForwardingTables, SlotOrder};
 use lmpr_core::{Disjoint, FaultAware, Router, RouterKind};
-use xgft::{FaultChange, FaultSet, LinkDir, PnId, Topology, MAX_HEIGHT};
+use xgft::{BlastRadius, FaultChange, FaultSet, PnId, Topology};
 
 /// Expected per-pair cardinality for a [`RouterKind`].
 fn budget_of(kind: RouterKind) -> Budget {
@@ -167,82 +167,19 @@ pub fn certify_epoch(
 
 /// The ordered SD pairs whose canonical up\*/down\* path space touches
 /// any element named by `changes` — the certification scope of one
-/// reconvergence, derived from the topology alone.
-///
-/// For a directed link at level `l` (its lower endpoint `B` is the
-/// level-`l−1` node), the canonical enumeration routes a pair through
-/// it exactly when the pair straddles `B`'s height-`l−1` sub-tree `R`:
-/// `R × ¬R` for up-links, `¬R × R` for down-links. The climb from a
-/// source fixes the label digits at positions `l..h` to the source's —
-/// so it can reach `B` iff the source lies under `B` — and reaches
-/// level `l` at all iff the NCA is at `l` or above, i.e. the
-/// destination is *outside* `R`; the digits below `l` are free port
-/// choices, so every such pair has some canonical path over the link.
-/// Descents are the mirror image. Up and down *events* contribute
+/// reconvergence, derived from the topology alone: the pairs of the
+/// batch's [`BlastRadius`] (which documents the geometry), each exactly
+/// once, in lexicographic order. Up and down *events* contribute
 /// identically: a pair's selection is a pure function of the survival
 /// bits of its canonical enumeration, so any pair whose space contains
 /// a changed element may select differently and must be re-audited,
 /// while a pair outside every changed element's region cannot change.
 ///
-/// Sub-tree leaf ranges are aligned (size `m_prod(l−1)`, index
-/// `pn / size`) and ranges containing a given PN are nested across
-/// levels, so per PN only the *smallest* touched range per direction
-/// matters; the pair enumeration is then O(n²) with O(1) membership
-/// tests and yields each affected pair exactly once, in lexicographic
-/// order.
-///
 /// Unlike a scope harvested from selection-cache flushes, this set does
 /// not depend on what happened to be cached — a cold cache yields the
-/// same, complete, audit scope. Switch events expand to all incident
-/// links, mirroring [`FaultSet::fail_switch`].
+/// same, complete, audit scope.
 pub fn change_blast_radius(topo: &Topology, changes: &[FaultChange]) -> Vec<(PnId, PnId)> {
-    let mut touched = FaultSet::new();
-    for change in changes {
-        match *change {
-            FaultChange::LinkDown(l) | FaultChange::LinkUp(l) => touched.fail_link(l),
-            FaultChange::SwitchDown(n) | FaultChange::SwitchUp(n) => touched.fail_switch(topo, n),
-        }
-    }
-    let n = topo.num_pns() as usize;
-    // Per PN and direction, the size of the smallest touched sub-tree
-    // range containing it (alignment makes the size identify the range).
-    const NONE: u32 = u32::MAX;
-    let mut up_size = vec![NONE; n];
-    let mut down_size = vec![NONE; n];
-    let mut digits = [0u32; MAX_HEIGHT];
-    for link in touched.failed_links() {
-        let e = topo.endpoints(link);
-        let (lower, sizes) = match e.dir {
-            LinkDir::Up => (e.from, &mut up_size),
-            LinkDir::Down => (e.to, &mut down_size),
-        };
-        let l = e.level as usize;
-        let size = topo.m_prod(l - 1) as usize;
-        topo.digits_of(lower, &mut digits);
-        let mut base = 0usize;
-        for i in l..=topo.height() {
-            base += digits[i - 1] as usize * topo.m_prod(i - 1) as usize;
-        }
-        for slot in sizes.iter_mut().skip(base).take(size) {
-            *slot = (*slot).min(size as u32);
-        }
-    }
-    let mut pairs = Vec::new();
-    for (s, &up) in up_size.iter().enumerate() {
-        for (d, &down) in down_size.iter().enumerate() {
-            if s == d {
-                continue;
-            }
-            // Affected iff d escapes s's smallest touched source-side
-            // range, or s escapes d's smallest destination-side range.
-            let up_hit = up != NONE && d / up as usize != s / up as usize;
-            let down_hit = down != NONE && s / down as usize != d / down as usize;
-            if up_hit || down_hit {
-                pairs.push((PnId(s as u32), PnId(d as u32)));
-            }
-        }
-    }
-    pairs
+    BlastRadius::of_changes(topo, changes).pairs()
 }
 
 /// Run the full analysis for an LFT realization: build the tables for

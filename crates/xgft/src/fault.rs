@@ -88,11 +88,8 @@ impl FaultSet {
         if let Err(i) = self.failed_switches.binary_search(&node) {
             self.failed_switches.insert(i, node);
         }
-        for id in 0..topo.num_links() {
-            let e = topo.endpoints(DirectedLinkId(id));
-            if e.from == node || e.to == node {
-                self.fail_link(DirectedLinkId(id));
-            }
+        for link in topo.incident_links(node) {
+            self.fail_link(link);
         }
     }
 
@@ -126,11 +123,8 @@ impl FaultSet {
         if let Ok(i) = self.failed_switches.binary_search(&node) {
             self.failed_switches.remove(i);
         }
-        for id in 0..topo.num_links() {
-            let e = topo.endpoints(DirectedLinkId(id));
-            if e.from == node || e.to == node {
-                self.recover_link(DirectedLinkId(id));
-            }
+        for link in topo.incident_links(node) {
+            self.recover_link(link);
         }
     }
 

@@ -23,7 +23,9 @@
 //!   pair ([`Topology::num_paths`], [`Topology::walk_path`]), and the
 //!   destination-mod-k path index ([`Topology::dmodk_path`]);
 //! * sub-tree cut utilities used by the optimal-load lower bound
-//!   (Lemma 1 of the paper).
+//!   (Lemma 1 of the paper);
+//! * [`BlastRadius`] — the O(1)-membership geometry of which SD pairs a
+//!   changed link or switch can touch.
 //!
 //! The representation is *implicit*: nodes are identified by
 //! `(level, rank)` pairs and digit tuples are converted on demand, so a
@@ -49,6 +51,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod blast;
 mod error;
 mod fault;
 mod ids;
@@ -60,6 +63,7 @@ mod spec;
 mod subtree;
 mod topology;
 
+pub use blast::BlastRadius;
 pub use error::SpecError;
 pub use fault::FaultSet;
 pub use ids::{DirectedLinkId, LinkDir, NodeId, PathId, PnId};

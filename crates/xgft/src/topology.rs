@@ -376,6 +376,27 @@ impl Topology {
             self.down_link(l, node.rank, child)
         }
     }
+
+    /// Every directed link into or out of `node`, in ascending id order:
+    /// per port, the link leaving through it and its reverse. O(radix),
+    /// where a scan of [`Topology::endpoints`] over all links is
+    /// O(`num_links`). A node outside the topology (ids can arrive from
+    /// fault feeds) has no links, as the scan would find.
+    pub fn incident_links(&self, node: NodeId) -> Vec<DirectedLinkId> {
+        let level = usize::from(node.level);
+        if level > self.h || node.rank >= self.level_counts[level] {
+            return Vec::new();
+        }
+        let mut links = Vec::new();
+        for port in 0..self.ports_at_level(level) {
+            let out = self.link_from_port(node, port);
+            let e = self.endpoints(out);
+            links.push(out);
+            links.push(self.link_from_port(e.to, e.to_port));
+        }
+        links.sort_unstable();
+        links
+    }
 }
 
 #[cfg(test)]

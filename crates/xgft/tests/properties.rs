@@ -155,6 +155,26 @@ proptest! {
     }
 
     #[test]
+    fn incident_links_match_the_endpoint_scan(t in arb_topo()) {
+        // Every node of every level, plus one rank and one level past
+        // the end (fault feeds can name nodes that do not exist).
+        for level in 0..=t.height() + 1 {
+            let count = if level <= t.height() { t.nodes_at_level(level) } else { 0 };
+            for rank in 0..=count {
+                let node = NodeId { level: level as u8, rank };
+                let scan: Vec<DirectedLinkId> = (0..t.num_links())
+                    .map(DirectedLinkId)
+                    .filter(|&l| {
+                        let e = t.endpoints(l);
+                        e.from == node || e.to == node
+                    })
+                    .collect();
+                prop_assert_eq!(t.incident_links(node), scan, "node {:?}", node);
+            }
+        }
+    }
+
+    #[test]
     fn construction_number_is_bijective_per_level(t in arb_topo()) {
         for level in 0..=t.height() {
             let n = t.nodes_at_level(level);
