@@ -7,11 +7,26 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo xtask lint"
-cargo xtask lint
-
 echo "==> cargo xtask analyze --ci"
 cargo xtask analyze --ci
+
+echo "==> crate graph and one-definition gate"
+# The daemon reads a socket; it must not link the experiment harness or
+# the flit simulator to do so. And the byte-level primitives every
+# golden, checkpoint and wire reply rests on — FNV-1a, SplitMix64, the
+# JSON string escaper — are each written once, in crates/codec (the
+# vendored rand/proptest/criterion stand-ins keep their own).
+if cargo tree -p lmpr-ctld -e normal --offline | grep -E "lmpr-(bench|flitsim) "; then
+  echo "lmpr-ctld must not depend on lmpr-bench or lmpr-flitsim" >&2
+  exit 1
+fi
+if grep -rniE --include="*.rs" \
+     "0100_?0000_?01b3|bf58_?476d_?1ce4_?e5b9|7f4a_?7c15|fn json_string" \
+     crates src tests examples |
+   grep -vE "^crates/(codec|rand|proptest|criterion)/"; then
+  echo "FNV-1a / SplitMix64 / json_string redefined outside crates/codec" >&2
+  exit 1
+fi
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -103,9 +118,14 @@ timeout 120 bash -c '
   "$CTLC" --socket "$dir/b.sock" tick 500 > /dev/null
   # This tick dies with the daemon; its failure is the point.
   "$CTLC" --socket "$dir/b.sock" tick 1500 > /dev/null 2>&1 &
+  cpid=$!
   sleep 0.15   # land inside the artificially slowed reconvergence
   kill -KILL "$bpid" 2> /dev/null || true
   wait "$bpid" 2> /dev/null || true
+  # ctlc retries for over a second: left alive it reconnects to the
+  # restarted daemon and its 500 -> 1500 jump merges two epochs.
+  kill "$cpid" 2> /dev/null || true
+  wait "$cpid" 2> /dev/null || true
   rm -f "$dir/b.sock"   # stale socket from the killed process
   ls "$dir/b"/epoch-*.snap > /dev/null || {
     echo "no checkpoint survived the kill" >&2; exit 1; }

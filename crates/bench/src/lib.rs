@@ -19,32 +19,17 @@
 
 use lmpr_core::RouterKind;
 use lmpr_flitsim::SimError;
-use xgft::{Topology, XgftSpec};
 
 pub mod chaos;
 pub mod faults;
-pub mod jsonio;
 pub mod orchestrator;
 pub mod snapcheck;
-pub mod soak;
 
-/// The evaluation topologies of §5, keyed the way the paper labels them.
-pub fn topology_by_name(name: &str) -> Option<(String, Topology)> {
-    let spec = match name {
-        // Figure 4 panels.
-        "a" | "16port2tree" => XgftSpec::m_port_n_tree(16, 2),
-        "b" | "16port3tree" => XgftSpec::m_port_n_tree(16, 3),
-        "c" | "24port2tree" => XgftSpec::m_port_n_tree(24, 2),
-        "d" | "24port3tree" => XgftSpec::m_port_n_tree(24, 3),
-        // The remaining §5 topologies.
-        "8port2tree" => XgftSpec::m_port_n_tree(8, 2),
-        "8port3tree" => XgftSpec::m_port_n_tree(8, 3),
-        _ => return None,
-    }
-    .expect("§5 topologies are valid");
-    let label = format!("{spec}");
-    Some((label, Topology::new(spec)))
-}
+// These four live in `lmpr-codec` and `xgft`; the paths below are kept
+// because `benchmark/` imports them and may not change.
+pub use lmpr_codec::json as jsonio;
+pub use lmpr_codec::json::{json_f64, json_string};
+pub use xgft::topology_by_name;
 
 /// Geometric-ish ladder of path budgets from 1 to `max` inclusive —
 /// the x-axis of Figure 4.
@@ -239,39 +224,6 @@ pub fn write_document(path: &str, records: &[Record], failures: &[Failure]) -> s
     std::fs::write(path, document_to_json(records, failures))
 }
 
-/// JSON number for an `f64` (`1.0`, not `1`, for integral values —
-/// matching serde_json's float formatting; non-finite values become
-/// `null` as serde_json has no representation for them either).
-pub fn json_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_owned();
-    }
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
-    }
-}
-
-/// JSON string literal with the mandatory escapes.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Parse `--json PATH` and `--quick` style flags from `args`.
 #[derive(Debug, Default, Clone)]
 pub struct CommonArgs {
@@ -314,15 +266,6 @@ mod tests {
         assert_eq!(*l.first().unwrap(), 1);
         assert_eq!(*l.last().unwrap(), 144);
         assert!(l.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn topologies_resolve() {
-        let (label, t) = topology_by_name("b").unwrap();
-        assert_eq!(label, "XGFT(3; 8,8,16; 1,8,8)");
-        assert_eq!(t.num_pns(), 1024);
-        assert!(topology_by_name("z").is_none());
-        assert_eq!(topology_by_name("d").unwrap().1.num_pns(), 3456);
     }
 
     #[test]

@@ -32,6 +32,8 @@ use crate::chaos::{
 };
 use crate::jsonio::{self, Value};
 use crate::{document_from_parts, failure_to_json, json_string, Failure};
+use lmpr_codec::fnv::fnv1a64;
+use lmpr_codec::splitmix;
 use lmpr_core::{Router, RouterKind};
 use lmpr_flitsim::{FlitSim, MonitorLog};
 use std::fmt;
@@ -97,17 +99,10 @@ impl OrchestratorOptions {
             .saturating_mul(1u32 << exp)
             .min(self.backoff_cap);
         // FNV-1a over the cell id folded with the attempt, then a
-        // splitmix-style finalizer so low-entropy ids still yield
-        // uniform high bits.
-        let mut h = 0xcbf2_9ce4_8422_2325_u64;
-        for &b in cell.as_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        let mut z = (h ^ attempt as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let frac = (z >> 11) as f64 / (1u64 << 53) as f64;
+        // SplitMix64 mix so low-entropy ids still yield uniform high
+        // bits.
+        let h = fnv1a64(cell.as_bytes());
+        let frac = splitmix::unit_f64(splitmix::mix(h ^ attempt as u64));
         base.mul_f64(0.5 + 0.5 * frac)
     }
 }

@@ -1,18 +1,21 @@
-//! Minimal JSON reader for the orchestrator journal.
+//! Strict JSON: the one reader and the two scalar writers.
 //!
-//! The bench crate already *writes* JSON by hand (`json_string`,
-//! `json_f64`); this module is the matching reader, so a resumed sweep
-//! can load its journal without external dependencies. Two properties
-//! matter here and shaped the design:
+//! Result documents, the orchestrator journal and the controller's
+//! wire frames are written by hand-laid-out `format!` calls on top of
+//! [`json_string`] and [`json_f64`]; [`parse`] / [`parse_bytes`] is the
+//! matching reader, and [`Value`]'s `req_*` accessors turn "member
+//! `key` must be present and of this type" into one fallible call. Two
+//! properties matter here and shaped the design:
 //!
 //! * **Numbers keep their source text.** [`Value::Num`] stores the raw
 //!   token; callers parse on demand. Journaled `f64`s are written with
 //!   Rust's shortest-roundtrip formatting, so `text.parse::<f64>()`
 //!   recovers the original value bit for bit — the foundation of the
 //!   byte-identical-resume guarantee.
-//! * **Reads never panic.** Malformed journals surface as a structured
-//!   [`ParseError`] with a byte offset; the orchestrator treats any
-//!   parse failure as "no journal" and starts fresh.
+//! * **Reads never panic.** Malformed input — a torn journal, hostile
+//!   socket bytes — surfaces as a structured [`ParseError`] with a byte
+//!   offset: duplicate keys, non-UTF-8, truncations and depth bombs
+//!   included.
 
 use std::fmt;
 
@@ -75,6 +78,94 @@ impl Value {
             _ => None,
         }
     }
+
+    /// The raw number token as an unsigned integer that fits `T`.
+    pub fn as_uint<T: TryFrom<u64>>(&self) -> Option<T> {
+        self.as_u64().and_then(|x| T::try_from(x).ok())
+    }
+
+    fn req<'a, T>(
+        &'a self,
+        key: &'static str,
+        want: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<T, FieldError> {
+        self.get(key).and_then(want).ok_or(FieldError(key))
+    }
+
+    /// Required unsigned-integer member `key`, range-checked into `T`.
+    pub fn req_uint<T: TryFrom<u64>>(&self, key: &'static str) -> Result<T, FieldError> {
+        self.req(key, Value::as_uint)
+    }
+
+    /// Optional `u64` member `key`: absent or `null` is `None`, any
+    /// other non-integer is an error.
+    pub fn opt_u64(&self, key: &'static str) -> Result<Option<u64>, FieldError> {
+        match self.get(key) {
+            None | Some(Value::Null) => Ok(None),
+            Some(v) => v.as_u64().map(Some).ok_or(FieldError(key)),
+        }
+    }
+
+    /// Required string member `key`.
+    pub fn req_str(&self, key: &'static str) -> Result<&str, FieldError> {
+        self.req(key, Value::as_str)
+    }
+
+    /// Required boolean member `key`.
+    pub fn req_bool(&self, key: &'static str) -> Result<bool, FieldError> {
+        self.req(key, Value::as_bool)
+    }
+
+    /// Required array member `key`.
+    pub fn req_arr(&self, key: &'static str) -> Result<&[Value], FieldError> {
+        self.req(key, Value::as_arr)
+    }
+}
+
+/// A required object member is missing, mistyped or out of range; the
+/// payload is the member's key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FieldError(pub &'static str);
+
+impl fmt::Display for FieldError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "member \"{}\" is missing or mistyped", self.0)
+    }
+}
+
+impl std::error::Error for FieldError {}
+
+/// JSON number for an `f64` (`1.0`, not `1`, for integral values —
+/// matching serde_json's float formatting; non-finite values become
+/// `null` as serde_json has no representation for them either).
+pub fn json_f64(v: f64) -> String {
+    if !v.is_finite() {
+        return "null".to_owned();
+    }
+    if v == v.trunc() && v.abs() < 1e15 {
+        format!("{v:.1}")
+    } else {
+        format!("{v}")
+    }
+}
+
+/// JSON string literal with the mandatory escapes.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// Where and why parsing stopped.
@@ -151,7 +242,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, b: u8, message: &'static str) -> Result<(), ParseError> {
+    fn require(&mut self, b: u8, message: &'static str) -> Result<(), ParseError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -186,7 +277,7 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self, depth: u32) -> Result<Value, ParseError> {
-        self.expect(b'[', "expected '['")?;
+        self.require(b'[', "expected '['")?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -209,7 +300,7 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self, depth: u32) -> Result<Value, ParseError> {
-        self.expect(b'{', "expected '{'")?;
+        self.require(b'{', "expected '{'")?;
         let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -223,7 +314,7 @@ impl<'a> Parser<'a> {
                 return Err(self.err("duplicate object key"));
             }
             self.skip_ws();
-            self.expect(b':', "expected ':' after member key")?;
+            self.require(b':', "expected ':' after member key")?;
             self.skip_ws();
             let value = self.value(depth + 1)?;
             members.push((key, value));
@@ -240,7 +331,7 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"', "expected '\"'")?;
+        self.require(b'"', "expected '\"'")?;
         let mut out = String::new();
         loop {
             let start = self.pos;
@@ -287,7 +378,7 @@ impl<'a> Parser<'a> {
                                     return Err(self.err("unpaired high surrogate"));
                                 }
                                 self.pos += 1;
-                                self.expect(b'u', "expected \\u for low surrogate")?;
+                                self.require(b'u', "expected \\u for low surrogate")?;
                                 let lo = self.hex4()?;
                                 if !(0xDC00..0xE000).contains(&lo) {
                                     return Err(self.err("invalid low surrogate"));
@@ -378,7 +469,6 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json_string;
 
     #[test]
     fn parses_the_document_shapes_we_write() {
@@ -434,6 +524,37 @@ mod tests {
         let doc = format!("{{\"s\": {}}}", json_string(nasty));
         let v = parse(&doc).expect("valid");
         assert_eq!(v.get("s").and_then(Value::as_str), Some(nasty));
+    }
+
+    #[test]
+    fn required_members_are_one_fallible_call() {
+        let v = parse(r#"{"n": 300, "s": "x", "b": true, "a": [1], "z": null}"#).expect("valid");
+        assert_eq!(v.req_uint::<u64>("n"), Ok(300));
+        assert_eq!(v.req_uint::<u16>("n"), Ok(300));
+        assert_eq!(v.req_uint::<u8>("n"), Err(FieldError("n")), "out of range");
+        assert_eq!(v.req_uint::<u64>("s"), Err(FieldError("s")), "mistyped");
+        assert_eq!(
+            v.req_uint::<u64>("nope"),
+            Err(FieldError("nope")),
+            "missing"
+        );
+        assert_eq!(v.req_str("s"), Ok("x"));
+        assert_eq!(v.req_bool("b"), Ok(true));
+        assert_eq!(v.req_arr("a").map(<[Value]>::len), Ok(1));
+        assert_eq!(v.opt_u64("n"), Ok(Some(300)));
+        assert_eq!(v.opt_u64("z"), Ok(None));
+        assert_eq!(v.opt_u64("nope"), Ok(None));
+        assert_eq!(v.opt_u64("s"), Err(FieldError("s")));
+        assert!(FieldError("n").to_string().contains("\"n\""));
+    }
+
+    #[test]
+    fn floats_and_escapes_write_as_serde_json_would() {
+        assert_eq!(json_f64(1.0), "1.0");
+        assert_eq!(json_f64(0.25), "0.25");
+        assert_eq!(json_f64(f64::NAN), "null");
+        assert_eq!(json_f64(1e15), "1000000000000000");
+        assert_eq!(json_string("a\"\\\n\u{1}é"), "\"a\\\"\\\\\\n\\u0001é\"");
     }
 
     #[test]

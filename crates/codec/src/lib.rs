@@ -1,0 +1,22 @@
+//! The workspace's one codec: every byte that reaches a result
+//! document, a checkpoint, a snapshot or the controller's socket is
+//! produced — and every such byte read back is validated — here.
+//!
+//! * [`json`] — the strict JSON reader (typed errors on any input,
+//!   required-field accessors) and the two scalar writers.
+//! * [`envelope`] — `magic · version · length · FNV-1a-64 · payload`
+//!   sealing and opening, plus the little-endian [`envelope::Enc`] /
+//!   [`envelope::Dec`] payload cursors. Users own their magic, version
+//!   and payload bound; the header checks are written once.
+//! * [`fnv`] — FNV-1a-64, one-shot and incremental.
+//! * [`splitmix`] — the SplitMix64 finaliser and stream step.
+//!
+//! The crate has no dependencies and never panics on input: it parses
+//! untrusted socket bytes for `lmpr-ctld`.
+
+#![forbid(unsafe_code)]
+
+pub mod envelope;
+pub mod fnv;
+pub mod json;
+pub mod splitmix;

@@ -1,4 +1,4 @@
-//! Negative-path hardening for `lmpr_bench::jsonio`.
+//! Negative-path hardening for `lmpr_codec::json`.
 //!
 //! The routing-controller daemon feeds socket frames straight into this
 //! parser, so every malformed input must come back as a typed
@@ -6,9 +6,10 @@
 //! bombs, and arbitrary byte mutations of valid documents must never
 //! panic and never loop.
 //!
-//! [`ParseError`]: lmpr_bench::jsonio::ParseError
+//! [`ParseError`]: lmpr_codec::json::ParseError
 
-use lmpr_bench::jsonio::{parse, parse_bytes};
+use lmpr_codec::json::{parse, parse_bytes};
+use lmpr_codec::splitmix::next as splitmix64;
 
 /// A representative valid document exercising every value shape the
 /// writers emit: nested objects/arrays, escapes, exponent numbers.
@@ -22,16 +23,6 @@ const SEED_DOC: &str = r#"{
     {"id": "b", "seeds": [], "aux": true}
   ]
 }"#;
-
-/// Deterministic splitmix64 — the only randomness source this test
-/// needs, so failures replay exactly.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 #[test]
 fn every_truncation_of_a_valid_document_is_a_typed_error() {

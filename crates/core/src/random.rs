@@ -1,6 +1,7 @@
 //! The random limited multi-path heuristic.
 
 use crate::Router;
+use lmpr_codec::splitmix;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use xgft::{PathId, PnId, Topology};
@@ -49,16 +50,10 @@ impl RandomK {
         self.seed
     }
 
-    /// SplitMix64 finalizer — mixes `(seed, s, d)` into an RNG seed so
-    /// that per-pair streams are independent.
+    /// SplitMix64 mix of `(seed, s, d)` into an RNG seed so that
+    /// per-pair streams are independent.
     fn pair_seed(&self, s: PnId, d: PnId) -> u64 {
-        let mut z = self
-            .seed
-            .wrapping_add((s.0 as u64) << 32 | d.0 as u64)
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix::mix(self.seed.wrapping_add((s.0 as u64) << 32 | d.0 as u64))
     }
 }
 

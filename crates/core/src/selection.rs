@@ -32,6 +32,7 @@
 //! the pair count or the cache size.
 
 use crate::{degrade_selection, RouteError, Router};
+use lmpr_codec::{fnv, splitmix};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use xgft::{BlastRadius, FaultChange, FaultSet, PathId, PnId, Topology};
@@ -59,13 +60,11 @@ impl Hasher for RouteKeyHasher {
 
     fn write(&mut self, bytes: &[u8]) {
         // Generic path (unused by u64 keys): FNV-1a fallback.
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = fnv::update(self.0, bytes);
     }
 
     fn write_u64(&mut self, key: u64) {
-        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let h = key.wrapping_mul(splitmix::GAMMA);
         self.0 = h ^ (h >> 32);
     }
 }

@@ -6,6 +6,7 @@
 //! cache's blast-radius-scoped flush must be indistinguishable from the
 //! exhaustive walk of every cached entry it replaced.
 
+use lmpr_codec::splitmix::next as splitmix;
 use lmpr_core::{
     route_key, Disjoint, DisjointStride, FaultAware, RandomK, RouteError, Router, RouterKind,
     SelectionEngine, ShiftOne,
@@ -82,14 +83,6 @@ fn exhaustive_flush(
         }
     }
     flushed
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A batch of one to four changes: link and switch events, down and up,

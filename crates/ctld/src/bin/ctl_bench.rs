@@ -16,7 +16,7 @@
 
 #![forbid(unsafe_code)]
 
-use lmpr_bench::{json_f64, json_string};
+use lmpr_codec::json::{json_f64, json_string};
 use lmpr_core::{Router, RouterKind};
 use lmpr_ctld::{read_frame, write_frame, Controller, CtlConfig, Request, Response, ServerConfig};
 use std::io::Write as _;
@@ -127,7 +127,7 @@ fn run() -> Result<(), String> {
     let socket = scratch.join("ctld.sock");
     let socket_str = socket.to_str().ok_or("non-utf8 temp path")?.to_owned();
 
-    let (_, topo) = lmpr_bench::topology_by_name(TOPO).ok_or("bench topology missing")?;
+    let (_, topo) = xgft::topology_by_name(TOPO).ok_or("bench topology missing")?;
     let pns = topo.num_pns();
     let schedule = FaultSchedule::poisson(&topo, FAIL_RATE, MEAN_REPAIR, horizon, SEED);
     let fault_events = schedule.events().len();

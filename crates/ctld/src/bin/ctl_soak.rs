@@ -9,7 +9,7 @@
 //! Runs a real daemon (socket and all) on `8port2tree` with
 //! `disjoint(4)`, its checkpoint store behind a [`FailpointIo`] and its
 //! feeder connections behind client-side `FaultyStream`s, under the
-//! escalating failpoint schedule of [`lmpr_bench::soak::escalation`].
+//! escalating failpoint schedule of [`lmpr_ctld::soak::escalation`].
 //! A Poisson fault timeline supplies the batch contents; the feeder
 //! submits one batch per epoch while query threads hammer `paths`.
 //! Every injected crash or fatal storage fault fail-stops the daemon;
@@ -48,11 +48,11 @@
 
 #![forbid(unsafe_code)]
 
-use lmpr_bench::soak::{
+use lmpr_codec::json::json_string;
+use lmpr_core::{Router, RouterKind};
+use lmpr_ctld::soak::{
     escalation, BatchAck, PromotionRecord, RestartCause, RestartRecord, SoakLedger, SoakPhase,
 };
-use lmpr_bench::{json_string, topology_by_name};
-use lmpr_core::{Router, RouterKind};
 use lmpr_ctld::{
     serve, ChangeSpec, Checkpoint, Client, ClientConfig, Controller, CtlConfig, FailPlan,
     FailpointIo, FaultCounters, OsStoreIo, ReplicaConfig, Response, RetryPolicy, ServerConfig,
@@ -646,7 +646,7 @@ fn run() -> Result<i32, String> {
     let _ = std::fs::remove_dir_all(&scratch);
     std::fs::create_dir_all(&scratch).map_err(|e| e.to_string())?;
 
-    let (label, topo) = topology_by_name(TOPO).ok_or("soak topology missing")?;
+    let (label, topo) = xgft::topology_by_name(TOPO).ok_or("soak topology missing")?;
     let schedule = FaultSchedule::poisson(&topo, FAIL_RATE, MEAN_REPAIR, HORIZON, SCHEDULE_SEED);
     let feed: Vec<ChangeSpec> = schedule
         .events()

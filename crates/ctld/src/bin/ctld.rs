@@ -174,7 +174,7 @@ fn run() -> Result<(), String> {
     if let Some(primary) = args.standby_of.clone() {
         return run_standby(&args, &primary);
     }
-    let (_, topo) = lmpr_bench::topology_by_name(&args.topo)
+    let (_, topo) = xgft::topology_by_name(&args.topo)
         .ok_or_else(|| format!("unknown topology {:?}", args.topo))?;
     let schedule = match &args.schedule_spec {
         Some(spec) => parse_schedule(spec, &topo)?,

@@ -40,6 +40,7 @@
 use crate::failpoint::StoreIo;
 use crate::store::{Checkpoint, Store, StoreError};
 use crate::wire::ChangeSpec;
+use lmpr_codec::fnv;
 use lmpr_core::{Router, RouterKind, SelectionEngine};
 use lmpr_verify::{certify_epoch, change_blast_radius, EpochScope, Report, RuleId, Severity};
 use std::fmt;
@@ -56,7 +57,7 @@ pub type MicrosClock = Box<dyn FnMut() -> u64 + Send>;
 /// Configuration of one controller instance.
 #[derive(Debug, Clone)]
 pub struct CtlConfig {
-    /// Topology name resolved via [`lmpr_bench::topology_by_name`].
+    /// Topology name resolved via [`xgft::topology_by_name`].
     pub topo_name: String,
     /// Routing scheme.
     pub kind: RouterKind,
@@ -267,7 +268,7 @@ impl Controller {
     }
 
     fn start_with_store(cfg: CtlConfig, mut store: Store) -> Result<(Self, Report), CtlError> {
-        let (label, topo) = lmpr_bench::topology_by_name(&cfg.topo_name)
+        let (label, topo) = xgft::topology_by_name(&cfg.topo_name)
             .ok_or_else(|| CtlError::UnknownTopology(cfg.topo_name.clone()))?;
         match store.load_latest() {
             Ok(cp) => {
@@ -522,12 +523,8 @@ impl Controller {
     /// controllers with equal digests answer every query identically —
     /// the equivalence the kill-and-resume smoke asserts.
     pub fn digest(&mut self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325_u64;
-        let mut mix = |x: u64| {
-            for b in x.to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = fnv::OFFSET;
+        let mut mix = |x: u64| h = fnv::update(h, &x.to_le_bytes());
         mix(self.epoch);
         let n = self.topo.num_pns();
         let mut scratch = Vec::new();

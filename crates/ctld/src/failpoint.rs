@@ -40,6 +40,8 @@
 //! stringified) and restarts the daemon from the state directory, which
 //! is precisely what a supervisor would do.
 
+use lmpr_codec::fnv::fnv1a64;
+use lmpr_codec::splitmix::mix;
 use std::fmt;
 use std::fs;
 use std::io::{self, Read, Write};
@@ -49,23 +51,6 @@ use std::sync::Arc;
 
 /// Permille denominator for fault probabilities.
 const PERMILLE: u64 = 1000;
-
-/// SplitMix64 — the one-step seeded mixer used for every decision.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// FNV-1a over a site name, so distinct sites draw independent streams.
-fn site_hash(site: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    for &b in site.as_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A deterministic fault plan: rates per I/O category, all driven by
 /// one seed. The [`fmt::Display`] form is the one-line repro string —
@@ -124,14 +109,14 @@ impl FailPlan {
     /// decorrelated.
     pub fn derive(&self, index: u64) -> Self {
         FailPlan {
-            seed: splitmix64(self.seed ^ splitmix64(index.wrapping_add(1))),
+            seed: mix(self.seed ^ mix(index.wrapping_add(1))),
             ..*self
         }
     }
 
     /// The raw decision draw for op `n` at `site`.
     fn draw(&self, site: &str, n: u64) -> u64 {
-        splitmix64(self.seed ^ site_hash(site) ^ splitmix64(n.wrapping_add(0x5151)))
+        mix(self.seed ^ fnv1a64(site.as_bytes()) ^ mix(n.wrapping_add(0x5151)))
     }
 
     /// Decide the fate of storage op `n` at `site`.
@@ -140,7 +125,7 @@ impl FailPlan {
         if h % PERMILLE >= u64::from(self.storage_permille) {
             return None;
         }
-        let crash = splitmix64(h) % PERMILLE < u64::from(self.crash_permille);
+        let crash = mix(h) % PERMILLE < u64::from(self.crash_permille);
         // The kind is drawn from the upper bits so rate changes do not
         // reshuffle kinds at unchanged sites.
         let kind = (h >> 32) % 4;
@@ -154,7 +139,7 @@ impl FailPlan {
             // completed durably but the ack was lost, which is the case
             // that forces clients into duplicate resubmission.
             (SITE_RENAME, true) => {
-                let r = splitmix64(h >> 16);
+                let r = mix(h >> 16);
                 StorageFault::TornRename {
                     keep_permille: if r.is_multiple_of(4) {
                         1000
@@ -167,7 +152,7 @@ impl FailPlan {
             // Write faults: short write, ENOSPC, or EINTR.
             _ => match kind {
                 0 => StorageFault::ShortWrite {
-                    keep_permille: u16::try_from(splitmix64(h >> 8) % 900).unwrap_or(0),
+                    keep_permille: u16::try_from(mix(h >> 8) % 900).unwrap_or(0),
                 },
                 1 => StorageFault::Error(ErrorModel::NoSpace),
                 _ => StorageFault::Error(ErrorModel::Interrupted),

@@ -55,7 +55,7 @@
 //! `ctl_bench` drives a Poisson fault feed against a 1024-end-host
 //! 3-level XGFT measuring queries/sec and reconvergence latency, and
 //! `ctl_soak` is the seeded chaos harness that checks the recovery
-//! invariants under an escalating failpoint schedule.
+//! invariants ([`soak`]) under an escalating failpoint schedule.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -65,6 +65,7 @@ pub mod controller;
 pub mod failpoint;
 pub mod replication;
 pub mod server;
+pub mod soak;
 pub mod store;
 pub mod wire;
 

@@ -1,6 +1,6 @@
 //! Ledger and invariant evaluation for the `ctl_soak` chaos harness.
 //!
-//! The harness (the `ctl_soak` binary in `lmpr-ctld`) runs the routing
+//! The harness (the `ctl_soak` binary of this crate) runs the routing
 //! daemon under a seeded failpoint plan, records everything it observes
 //! into a [`SoakLedger`], and asks [`SoakLedger::report`] to evaluate
 //! the recovery invariants into an `lmpr-verify` [`Report`] — the same

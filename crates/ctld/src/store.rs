@@ -1,9 +1,10 @@
 //! Crash-consistent checkpoint store for the controller.
 //!
-//! Each committed epoch is serialized into a checksummed envelope
+//! Each committed epoch is serialized into the `lmpr_codec::envelope`
 //! (magic · version · payload length · FNV-1a-64 · payload, all
-//! little-endian — the same shape as the flit-sim snapshot format) and
-//! written atomically and durably: the bytes go to a temp file in the
+//! little-endian — the one the flit-sim snapshot format uses, under
+//! this module's own magic and version) and written atomically and
+//! durably: the bytes go to a temp file in the
 //! same directory, are fsynced, are renamed over the final
 //! `epoch-<n>.snap` name, and the directory itself is fsynced so the
 //! rename survives power loss, not just process death. A crash
@@ -25,6 +26,8 @@
 //! the restart-equivalence guarantee a pure function of the fault feed.
 
 use crate::failpoint::{OsStoreIo, StoreIo};
+use lmpr_codec::envelope::{self, Dec, Enc};
+use lmpr_codec::fnv::fnv1a64;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -37,46 +40,6 @@ const MAGIC: &[u8; 8] = b"LMPRCTLS";
 const VERSION: u32 = 2;
 /// Sanity bound on a payload (a view can't plausibly exceed this).
 const MAX_PAYLOAD: u64 = 64 << 20;
-
-/// FNV-1a over a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Bounds-checked little-endian reader over a payload slice.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], StoreError> {
-        let end = self.pos.checked_add(n).ok_or(StoreError::Truncated)?;
-        let slice = self.bytes.get(self.pos..end).ok_or(StoreError::Truncated)?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32le(&mut self) -> Result<u32, StoreError> {
-        let mut b = [0u8; 4];
-        b.copy_from_slice(self.take(4)?);
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64le(&mut self) -> Result<u64, StoreError> {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(self.take(8)?);
-        Ok(u64::from_le_bytes(b))
-    }
-}
 
 /// Why a checkpoint could not be written or read back.
 #[derive(Debug)]
@@ -129,6 +92,25 @@ impl std::error::Error for StoreError {}
 impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
         StoreError::Io(e)
+    }
+}
+
+impl From<envelope::Error> for StoreError {
+    fn from(e: envelope::Error) -> Self {
+        match e {
+            envelope::Error::TooShort | envelope::Error::Truncated => StoreError::Truncated,
+            envelope::Error::BadMagic => StoreError::BadMagic,
+            envelope::Error::BadVersion(v) => StoreError::BadVersion(v),
+            envelope::Error::Oversize { .. } => StoreError::Corrupt("payload length out of range"),
+            envelope::Error::LengthMismatch { declared, actual } if actual < declared => {
+                StoreError::Truncated
+            }
+            envelope::Error::LengthMismatch { .. } => {
+                StoreError::Corrupt("trailing bytes after envelope")
+            }
+            envelope::Error::ChecksumMismatch { .. } => StoreError::ChecksumMismatch,
+            envelope::Error::Corrupt(what) => StoreError::Corrupt(what),
+        }
     }
 }
 
@@ -202,75 +184,67 @@ impl Checkpoint {
     /// digest disagrees with its own fields was assembled from mixed
     /// state and is rejected.
     pub fn digest(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(64 + 4 * self.failed_links.len());
-        bytes.extend_from_slice(&self.generation.to_le_bytes());
-        bytes.extend_from_slice(&self.epoch.to_le_bytes());
-        bytes.extend_from_slice(&self.now.to_le_bytes());
-        bytes.extend_from_slice(&self.drained_through.to_le_bytes());
-        bytes.extend_from_slice(&self.committed_batch_id.to_le_bytes());
-        bytes.extend_from_slice(&(self.failed_links.len() as u64).to_le_bytes());
+        let mut e = Enc::with_capacity(56 + 4 * self.failed_links.len());
+        self.enc_scalars(&mut e);
+        e.seq_len(self.failed_links.len());
         for &l in &self.failed_links {
-            bytes.extend_from_slice(&l.to_le_bytes());
+            e.u32(l);
         }
-        bytes.extend_from_slice(&(self.failed_switches.len() as u64).to_le_bytes());
+        e.seq_len(self.failed_switches.len());
         for &(level, rank) in &self.failed_switches {
-            bytes.push(level);
-            bytes.extend_from_slice(&rank.to_le_bytes());
+            e.u8(level);
+            e.u32(rank);
         }
-        fnv1a(&bytes)
+        fnv1a64(e.bytes())
     }
 
-    fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(88 + 4 * self.failed_links.len());
-        p.extend_from_slice(&self.generation.to_le_bytes());
-        p.extend_from_slice(&self.epoch.to_le_bytes());
-        p.extend_from_slice(&self.now.to_le_bytes());
-        p.extend_from_slice(&self.drained_through.to_le_bytes());
-        p.extend_from_slice(&self.committed_batch_id.to_le_bytes());
-        p.extend_from_slice(&self.digest().to_le_bytes());
-        p.extend_from_slice(&(self.failed_links.len() as u32).to_le_bytes());
+    fn enc_scalars(&self, e: &mut Enc) {
+        e.u64(self.generation);
+        e.u64(self.epoch);
+        e.u64(self.now);
+        e.u64(self.drained_through);
+        e.u64(self.committed_batch_id);
+    }
+
+    /// The payload: the five scalars, the view digest, then the two
+    /// u32-counted lists.
+    fn encode(&self) -> Enc {
+        let mut e = Enc::with_capacity(88 + 4 * self.failed_links.len());
+        self.enc_scalars(&mut e);
+        e.u64(self.digest());
+        e.u32(self.failed_links.len() as u32);
         for &l in &self.failed_links {
-            p.extend_from_slice(&l.to_le_bytes());
+            e.u32(l);
         }
-        p.extend_from_slice(&(self.failed_switches.len() as u32).to_le_bytes());
+        e.u32(self.failed_switches.len() as u32);
         for &(level, rank) in &self.failed_switches {
-            p.push(level);
-            p.extend_from_slice(&rank.to_le_bytes());
+            e.u8(level);
+            e.u32(rank);
         }
-        p
+        e
     }
 
     fn decode(payload: &[u8]) -> Result<Self, StoreError> {
-        let mut cur = Cursor {
-            bytes: payload,
-            pos: 0,
-        };
-        let generation = cur.u64le()?;
-        let epoch = cur.u64le()?;
-        let now = cur.u64le()?;
-        let drained_through = cur.u64le()?;
-        let committed_batch_id = cur.u64le()?;
-        let recorded_digest = cur.u64le()?;
-        let n_links = cur.u32le()? as usize;
-        if n_links > payload.len() {
-            return Err(StoreError::Corrupt("link count exceeds payload"));
-        }
+        let mut d = Dec::new(payload);
+        let generation = d.u64()?;
+        let epoch = d.u64()?;
+        let now = d.u64()?;
+        let drained_through = d.u64()?;
+        let committed_batch_id = d.u64()?;
+        let recorded_digest = d.u64()?;
+        // Counts are bounded by the bytes left (4 per link, 5 per
+        // switch), so a corrupt count cannot out-reserve the payload.
+        let n_links = d.seq_len32(4)?;
         let mut failed_links = Vec::with_capacity(n_links);
         for _ in 0..n_links {
-            failed_links.push(cur.u32le()?);
+            failed_links.push(d.u32()?);
         }
-        let n_switches = cur.u32le()? as usize;
-        if n_switches > payload.len() {
-            return Err(StoreError::Corrupt("switch count exceeds payload"));
-        }
+        let n_switches = d.seq_len32(5)?;
         let mut failed_switches = Vec::with_capacity(n_switches);
         for _ in 0..n_switches {
-            let level = cur.u8()?;
-            failed_switches.push((level, cur.u32le()?));
+            failed_switches.push((d.u8()?, d.u32()?));
         }
-        if cur.pos != payload.len() {
-            return Err(StoreError::Corrupt("trailing bytes after payload"));
-        }
+        d.finish()?;
         let cp = Checkpoint {
             generation,
             epoch,
@@ -288,49 +262,12 @@ impl Checkpoint {
 
     /// Wrap the payload in the checksummed envelope.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let payload = self.encode();
-        let mut out = Vec::with_capacity(28 + payload.len());
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        envelope::seal(MAGIC, VERSION, self.encode().bytes())
     }
 
     /// Validate the envelope and decode the payload.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
-        if bytes.len() < 28 {
-            return Err(StoreError::Truncated);
-        }
-        if &bytes[..8] != MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        let mut v = [0u8; 4];
-        v.copy_from_slice(&bytes[8..12]);
-        let version = u32::from_le_bytes(v);
-        if version != VERSION {
-            return Err(StoreError::BadVersion(version));
-        }
-        let mut l = [0u8; 8];
-        l.copy_from_slice(&bytes[12..20]);
-        let len = u64::from_le_bytes(l);
-        if len > MAX_PAYLOAD {
-            return Err(StoreError::Corrupt("payload length out of range"));
-        }
-        let mut c = [0u8; 8];
-        c.copy_from_slice(&bytes[20..28]);
-        let checksum = u64::from_le_bytes(c);
-        let payload = bytes
-            .get(28..28 + len as usize)
-            .ok_or(StoreError::Truncated)?;
-        if bytes.len() != 28 + len as usize {
-            return Err(StoreError::Corrupt("trailing bytes after envelope"));
-        }
-        if fnv1a(payload) != checksum {
-            return Err(StoreError::ChecksumMismatch);
-        }
-        Self::decode(payload)
+        Self::decode(envelope::open(bytes, MAGIC, VERSION, MAX_PAYLOAD)?)
     }
 }
 
@@ -618,6 +555,44 @@ mod tests {
         assert!(matches!(
             Checkpoint::from_bytes(&bad),
             Err(StoreError::BadVersion(99))
+        ));
+    }
+
+    #[test]
+    fn committed_v2_checkpoint_loads_and_reencodes_byte_identically() {
+        // Written before the envelope moved into `lmpr-codec`.
+        let fixture = include_bytes!("../tests/fixtures/checkpoint_v2.snap");
+        let cp = Checkpoint::from_bytes(fixture).expect("v2 fixture loads");
+        assert_eq!((cp.generation, cp.epoch, cp.now), (3, 17, 8_800));
+        assert_eq!((cp.drained_through, cp.committed_batch_id), (8_500, 17));
+        assert_eq!(cp.failed_links, [3, 17, 40, 1_000_000]);
+        assert_eq!(cp.failed_switches, [(1, 0), (2, 3)]);
+        assert_eq!(cp.to_bytes(), fixture);
+    }
+
+    #[test]
+    fn a_corrupt_count_is_bounded_by_the_bytes_left_not_the_payload_length() {
+        // A checksum-clean payload whose link count (40) is below the
+        // payload's byte length (60) but far above what the 8 bytes
+        // after it can hold: rejected at the count, before any
+        // reservation, not at the first short read.
+        let mut e = sample(1).encode().bytes()[..48].to_vec();
+        e.extend_from_slice(&40u32.to_le_bytes());
+        e.extend_from_slice(&[0; 8]);
+        let sealed = envelope::seal(MAGIC, VERSION, &e);
+        assert!(matches!(
+            Checkpoint::from_bytes(&sealed),
+            Err(StoreError::Corrupt("sequence length exceeds payload"))
+        ));
+        // Same for the switch count (5-byte elements).
+        let mut e = sample(1).encode().bytes()[..48].to_vec();
+        e.extend_from_slice(&0u32.to_le_bytes());
+        e.extend_from_slice(&3u32.to_le_bytes());
+        e.extend_from_slice(&[0; 14]);
+        let sealed = envelope::seal(MAGIC, VERSION, &e);
+        assert!(matches!(
+            Checkpoint::from_bytes(&sealed),
+            Err(StoreError::Corrupt("sequence length exceeds payload"))
         ));
     }
 

@@ -2,7 +2,7 @@
 //!
 //! Every message is a 4-byte little-endian length followed by exactly
 //! that many bytes of UTF-8 JSON, parsed with the strict
-//! [`lmpr_bench::jsonio`] reader — duplicate keys, non-UTF-8 bytes,
+//! [`lmpr_codec::json`] reader — duplicate keys, non-UTF-8 bytes,
 //! truncations and depth bombs all come back as typed errors, never
 //! panics, because the daemon feeds untrusted socket bytes straight in.
 //!
@@ -21,8 +21,7 @@
 //! it.
 
 use crate::store::Checkpoint;
-use lmpr_bench::json_string;
-use lmpr_bench::jsonio::{self, ParseError, Value};
+use lmpr_codec::json::{self, json_string, FieldError, ParseError, Value};
 use std::fmt;
 use std::io::{Read, Write};
 use xgft::{DirectedLinkId, FaultChange, NodeId};
@@ -40,7 +39,8 @@ pub enum WireError {
     FrameTooLarge(u32),
     /// The payload was not a valid JSON document.
     Parse(ParseError),
-    /// The document parsed but is not a well-formed message.
+    /// The document parsed but is not a well-formed message: what is
+    /// wrong, or the key of the member that is missing or mistyped.
     Malformed(&'static str),
 }
 
@@ -71,6 +71,12 @@ impl From<ParseError> for WireError {
     }
 }
 
+impl From<FieldError> for WireError {
+    fn from(e: FieldError) -> Self {
+        WireError::Malformed(e.0)
+    }
+}
+
 /// Read one length-prefixed frame.
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, WireError> {
     let mut len = [0u8; 4];
@@ -84,15 +90,55 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, WireError> {
     Ok(payload)
 }
 
+/// The length prefix of a `len`-byte payload, or the typed refusal. A
+/// length past `u32` is reported saturated, not wrapped.
+fn frame_len(len: usize) -> Result<u32, WireError> {
+    match u32::try_from(len) {
+        Ok(n) if n <= MAX_FRAME => Ok(n),
+        over => Err(WireError::FrameTooLarge(over.unwrap_or(u32::MAX))),
+    }
+}
+
 /// Write one length-prefixed frame.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
-    if payload.len() as u64 > MAX_FRAME as u64 {
-        return Err(WireError::FrameTooLarge(payload.len() as u32));
-    }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    w.write_all(&frame_len(payload.len())?.to_le_bytes())?;
     w.write_all(payload)?;
     w.flush()?;
     Ok(())
+}
+
+/// `[a, b, …]`, each item rendered by `each`.
+fn json_list<T>(items: &[T], each: impl Fn(&T) -> String) -> String {
+    let items: Vec<String> = items.iter().map(each).collect();
+    format!("[{}]", items.join(", "))
+}
+
+/// `items`, the elements of array member `key`, as unsigned integers
+/// that fit `T`.
+fn uints<T: TryFrom<u64>>(items: &[Value], key: &'static str) -> Result<Vec<T>, FieldError> {
+    let mut out = Vec::with_capacity(items.len());
+    for item in items {
+        out.push(item.as_uint().ok_or(FieldError(key))?);
+    }
+    Ok(out)
+}
+
+/// Array member `key` as `[a, b]` pairs of unsigned integers.
+fn uint_pairs<A, B>(v: &Value, key: &'static str) -> Result<Vec<(A, B)>, FieldError>
+where
+    A: TryFrom<u64>,
+    B: TryFrom<u64>,
+{
+    let items = v.req_arr(key)?;
+    let mut out = Vec::with_capacity(items.len());
+    for item in items {
+        let pair = match item.as_arr() {
+            Some([a, b]) => a.as_uint().zip(b.as_uint()),
+            _ => None,
+        };
+        out.push(pair.ok_or(FieldError(key))?);
+    }
+    Ok(out)
 }
 
 /// One fault change as it appears on the wire. The split from
@@ -145,37 +191,23 @@ impl ChangeSpec {
     }
 
     fn from_json(v: &Value) -> Result<Self, WireError> {
-        let kind = v
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or(WireError::Malformed("change without a kind"))?;
-        let link = || {
-            v.get("link")
-                .and_then(Value::as_u64)
-                .and_then(|l| u32::try_from(l).ok())
-                .ok_or(WireError::Malformed("link change without a link id"))
-        };
-        let switch = || {
-            let level = v
-                .get("level")
-                .and_then(Value::as_u64)
-                .and_then(|l| u8::try_from(l).ok());
-            let rank = v
-                .get("rank")
-                .and_then(Value::as_u64)
-                .and_then(|r| u32::try_from(r).ok());
-            match (level, rank) {
-                (Some(l), Some(r)) => Ok((l, r)),
-                _ => Err(WireError::Malformed("switch change without level/rank")),
-            }
-        };
-        match kind {
-            "link-down" => Ok(ChangeSpec::LinkDown(link()?)),
-            "link-up" => Ok(ChangeSpec::LinkUp(link()?)),
-            "switch-down" => switch().map(|(l, r)| ChangeSpec::SwitchDown(l, r)),
-            "switch-up" => switch().map(|(l, r)| ChangeSpec::SwitchUp(l, r)),
-            _ => Err(WireError::Malformed("unknown change kind")),
+        Ok(match v.req_str("kind")? {
+            "link-down" => ChangeSpec::LinkDown(v.req_uint("link")?),
+            "link-up" => ChangeSpec::LinkUp(v.req_uint("link")?),
+            "switch-down" => ChangeSpec::SwitchDown(v.req_uint("level")?, v.req_uint("rank")?),
+            "switch-up" => ChangeSpec::SwitchUp(v.req_uint("level")?, v.req_uint("rank")?),
+            _ => return Err(WireError::Malformed("unknown change kind")),
+        })
+    }
+
+    /// The `changes` member of a fault request or a replication frame.
+    fn list_from_json(v: &Value) -> Result<Vec<Self>, WireError> {
+        let items = v.req_arr("changes")?;
+        let mut out = Vec::with_capacity(items.len());
+        for item in items {
+            out.push(ChangeSpec::from_json(item)?);
         }
+        Ok(out)
     }
 }
 
@@ -256,14 +288,13 @@ impl Request {
                 deadline_ms,
                 pairs,
             } => {
-                let pairs: Vec<String> = pairs.iter().map(|(s, d)| format!("[{s}, {d}]")).collect();
                 let deadline = match deadline_ms {
                     Some(ms) => format!(", \"deadline_ms\": {ms}"),
                     None => String::new(),
                 };
                 format!(
-                    "{{\"op\": \"paths\", \"epoch\": {epoch}{deadline}, \"pairs\": [{}]}}",
-                    pairs.join(", ")
+                    "{{\"op\": \"paths\", \"epoch\": {epoch}{deadline}, \"pairs\": {}}}",
+                    json_list(pairs, |(s, d)| format!("[{s}, {d}]"))
                 )
             }
             Request::Fault {
@@ -271,14 +302,13 @@ impl Request {
                 gen,
                 changes,
             } => {
-                let changes: Vec<String> = changes.iter().map(|c| c.to_json()).collect();
                 let gen = match gen {
                     Some(g) => format!(", \"gen\": {g}"),
                     None => String::new(),
                 };
                 format!(
-                    "{{\"op\": \"fault\", \"batch_id\": {batch_id}{gen}, \"changes\": [{}]}}",
-                    changes.join(", ")
+                    "{{\"op\": \"fault\", \"batch_id\": {batch_id}{gen}, \"changes\": {}}}",
+                    json_list(changes, |c| c.to_json())
                 )
             }
             Request::Subscribe { from_epoch, gen } => {
@@ -294,110 +324,34 @@ impl Request {
 
     /// Parse a request frame.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let v = jsonio::parse_bytes(payload)?;
-        let op = v
-            .get("op")
-            .and_then(Value::as_str)
-            .ok_or(WireError::Malformed("request without an op"))?;
-        match op {
-            "hello" => Ok(Request::Hello),
-            "status" => Ok(Request::Status),
-            "digest" => Ok(Request::Digest),
-            "paths" => {
-                let epoch = v
-                    .get("epoch")
-                    .and_then(Value::as_u64)
-                    .ok_or(WireError::Malformed("paths without an epoch"))?;
-                let deadline_ms = match v.get("deadline_ms") {
-                    None | Some(Value::Null) => None,
-                    Some(d) => Some(
-                        d.as_u64()
-                            .ok_or(WireError::Malformed("non-integer deadline_ms"))?,
-                    ),
-                };
-                let raw = v
-                    .get("pairs")
-                    .and_then(Value::as_arr)
-                    .ok_or(WireError::Malformed("paths without a pairs array"))?;
-                let mut pairs = Vec::with_capacity(raw.len());
-                for item in raw {
-                    let pair = item
-                        .as_arr()
-                        .filter(|a| a.len() == 2)
-                        .ok_or(WireError::Malformed("pair is not a 2-array"))?;
-                    let s = pair
-                        .first()
-                        .and_then(Value::as_u64)
-                        .and_then(|x| u32::try_from(x).ok());
-                    let d = pair
-                        .get(1)
-                        .and_then(Value::as_u64)
-                        .and_then(|x| u32::try_from(x).ok());
-                    match (s, d) {
-                        (Some(s), Some(d)) => pairs.push((s, d)),
-                        _ => return Err(WireError::Malformed("pair ids must be u32 integers")),
-                    }
-                }
-                Ok(Request::Paths {
-                    epoch,
-                    deadline_ms,
-                    pairs,
-                })
-            }
-            "fault" => {
-                let batch_id = v
-                    .get("batch_id")
-                    .and_then(Value::as_u64)
-                    .ok_or(WireError::Malformed("fault without a batch_id"))?;
-                let gen = match v.get("gen") {
-                    None | Some(Value::Null) => None,
-                    Some(g) => Some(
-                        g.as_u64()
-                            .ok_or(WireError::Malformed("non-integer fault gen"))?,
-                    ),
-                };
-                let raw = v
-                    .get("changes")
-                    .and_then(Value::as_arr)
-                    .ok_or(WireError::Malformed("fault without a changes array"))?;
-                let mut changes = Vec::with_capacity(raw.len());
-                for item in raw {
-                    changes.push(ChangeSpec::from_json(item)?);
-                }
-                Ok(Request::Fault {
-                    batch_id,
-                    gen,
-                    changes,
-                })
-            }
-            "subscribe" => {
-                let from_epoch = v
-                    .get("from_epoch")
-                    .and_then(Value::as_u64)
-                    .ok_or(WireError::Malformed("subscribe without from_epoch"))?;
-                let gen = v
-                    .get("gen")
-                    .and_then(Value::as_u64)
-                    .ok_or(WireError::Malformed("subscribe without gen"))?;
-                Ok(Request::Subscribe { from_epoch, gen })
-            }
-            "tick" => {
-                let to = v
-                    .get("to")
-                    .and_then(Value::as_u64)
-                    .ok_or(WireError::Malformed("tick without a target time"))?;
-                Ok(Request::Tick { to })
-            }
-            "chaos" => {
-                let fail_certs = v
-                    .get("fail_certs")
-                    .and_then(Value::as_bool)
-                    .ok_or(WireError::Malformed("chaos without fail_certs"))?;
-                Ok(Request::Chaos { fail_certs })
-            }
-            "shutdown" => Ok(Request::Shutdown),
-            _ => Err(WireError::Malformed("unknown op")),
-        }
+        let v = json::parse_bytes(payload)?;
+        Ok(match v.req_str("op")? {
+            "hello" => Request::Hello,
+            "status" => Request::Status,
+            "digest" => Request::Digest,
+            "paths" => Request::Paths {
+                epoch: v.req_uint("epoch")?,
+                deadline_ms: v.opt_u64("deadline_ms")?,
+                pairs: uint_pairs(&v, "pairs")?,
+            },
+            "fault" => Request::Fault {
+                batch_id: v.req_uint("batch_id")?,
+                gen: v.opt_u64("gen")?,
+                changes: ChangeSpec::list_from_json(&v)?,
+            },
+            "subscribe" => Request::Subscribe {
+                from_epoch: v.req_uint("from_epoch")?,
+                gen: v.req_uint("gen")?,
+            },
+            "tick" => Request::Tick {
+                to: v.req_uint("to")?,
+            },
+            "chaos" => Request::Chaos {
+                fail_certs: v.req_bool("fail_certs")?,
+            },
+            "shutdown" => Request::Shutdown,
+            _ => return Err(WireError::Malformed("unknown op")),
+        })
     }
 }
 
@@ -591,6 +545,16 @@ impl Response {
 
     /// Serialize to the wire JSON.
     pub fn to_json(&self) -> String {
+        // Every successful reply opens `{"ok": true, "reply": <tag>,
+        // "epoch": E[, "gen": G], "mode": M`; the variant appends its
+        // own members and the closing brace.
+        let ok = |reply: &str, epoch: u64, gen: Option<u64>, mode: &str| {
+            let gen = gen.map_or(String::new(), |g| format!(" \"gen\": {g},"));
+            format!(
+                "{{\"ok\": true, \"reply\": \"{reply}\", \"epoch\": {epoch},{gen} \"mode\": {}",
+                json_string(mode)
+            )
+        };
         match self {
             Response::Status {
                 epoch,
@@ -604,41 +568,28 @@ impl Response {
                 reconv_max_us,
                 degraded_attempts,
             } => format!(
-                "{{\"ok\": true, \"reply\": \"status\", \"epoch\": {epoch}, \
-                 \"gen\": {gen}, \
-                 \"mode\": {}, \"now\": {now}, \"pending\": {pending}, \
+                "{}, \"now\": {now}, \"pending\": {pending}, \
                  \"committed_batch_id\": {committed_batch_id}, \
                  \"reconv_count\": {reconv_count}, \
                  \"reconv_total_us\": {reconv_total_us}, \
                  \"reconv_max_us\": {reconv_max_us}, \
                  \"degraded_attempts\": {degraded_attempts}}}",
-                json_string(mode)
+                ok("status", *epoch, Some(*gen), mode)
             ),
             Response::Digest {
                 epoch,
                 mode,
                 digest,
             } => format!(
-                "{{\"ok\": true, \"reply\": \"digest\", \"epoch\": {epoch}, \
-                 \"mode\": {}, \"digest\": {}}}",
-                json_string(mode),
+                "{}, \"digest\": {}}}",
+                ok("digest", *epoch, None, mode),
                 json_string(digest)
             ),
-            Response::Paths { epoch, mode, paths } => {
-                let lists: Vec<String> = paths
-                    .iter()
-                    .map(|ps| {
-                        let ids: Vec<String> = ps.iter().map(u64::to_string).collect();
-                        format!("[{}]", ids.join(", "))
-                    })
-                    .collect();
-                format!(
-                    "{{\"ok\": true, \"reply\": \"paths\", \"epoch\": {epoch}, \
-                     \"mode\": {}, \"paths\": [{}]}}",
-                    json_string(mode),
-                    lists.join(", ")
-                )
-            }
+            Response::Paths { epoch, mode, paths } => format!(
+                "{}, \"paths\": {}}}",
+                ok("paths", *epoch, None, mode),
+                json_list(paths, |ps| json_list(ps, u64::to_string))
+            ),
             Response::Fault {
                 epoch,
                 mode,
@@ -646,54 +597,34 @@ impl Response {
                 batch_id,
                 applied,
             } => format!(
-                "{{\"ok\": true, \"reply\": \"fault\", \"epoch\": {epoch}, \
-                 \"gen\": {gen}, \
-                 \"mode\": {}, \"batch_id\": {batch_id}, \"applied\": {applied}}}",
-                json_string(mode)
+                "{}, \"batch_id\": {batch_id}, \"applied\": {applied}}}",
+                ok("fault", *epoch, Some(*gen), mode)
             ),
-            Response::Replicate { mode, cp, changes } => {
-                let links: Vec<String> = cp.failed_links.iter().map(u32::to_string).collect();
-                let switches: Vec<String> = cp
-                    .failed_switches
-                    .iter()
-                    .map(|(l, r)| format!("[{l}, {r}]"))
-                    .collect();
-                let changes: Vec<String> = changes.iter().map(|c| c.to_json()).collect();
-                format!(
-                    "{{\"ok\": true, \"reply\": \"replicate\", \"epoch\": {}, \
-                     \"gen\": {}, \"mode\": {}, \"now\": {}, \
-                     \"drained_through\": {}, \"committed_batch_id\": {}, \
-                     \"failed_links\": [{}], \"failed_switches\": [{}], \
-                     \"changes\": [{}]}}",
-                    cp.epoch,
-                    cp.generation,
-                    json_string(mode),
-                    cp.now,
-                    cp.drained_through,
-                    cp.committed_batch_id,
-                    links.join(", "),
-                    switches.join(", "),
-                    changes.join(", ")
-                )
+            Response::Replicate { mode, cp, changes } => format!(
+                "{}, \"now\": {}, \"drained_through\": {}, \"committed_batch_id\": {}, \
+                 \"failed_links\": {}, \"failed_switches\": {}, \"changes\": {}}}",
+                ok("replicate", cp.epoch, Some(cp.generation), mode),
+                cp.now,
+                cp.drained_through,
+                cp.committed_batch_id,
+                json_list(&cp.failed_links, u32::to_string),
+                json_list(&cp.failed_switches, |(l, r)| format!("[{l}, {r}]")),
+                json_list(changes, |c| c.to_json())
+            ),
+            Response::Tick { epoch, mode, now } => {
+                format!("{}, \"now\": {now}}}", ok("tick", *epoch, None, mode))
             }
-            Response::Tick { epoch, mode, now } => format!(
-                "{{\"ok\": true, \"reply\": \"tick\", \"epoch\": {epoch}, \
-                 \"mode\": {}, \"now\": {now}}}",
-                json_string(mode)
-            ),
             Response::Chaos {
                 epoch,
                 mode,
                 fail_certs,
             } => format!(
-                "{{\"ok\": true, \"reply\": \"chaos\", \"epoch\": {epoch}, \
-                 \"mode\": {}, \"fail_certs\": {fail_certs}}}",
-                json_string(mode)
+                "{}, \"fail_certs\": {fail_certs}}}",
+                ok("chaos", *epoch, None, mode)
             ),
-            Response::Shutdown { epoch, mode } => format!(
-                "{{\"ok\": true, \"reply\": \"shutdown\", \"epoch\": {epoch}, \"mode\": {}}}",
-                json_string(mode)
-            ),
+            Response::Shutdown { epoch, mode } => {
+                format!("{}}}", ok("shutdown", *epoch, None, mode))
+            }
             Response::Error {
                 code,
                 epoch,
@@ -712,184 +643,85 @@ impl Response {
 
     /// Parse a reply frame.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let v = jsonio::parse_bytes(payload)?;
-        let ok = v
-            .get("ok")
-            .and_then(Value::as_bool)
-            .ok_or(WireError::Malformed("reply without ok"))?;
-        let epoch = v.get("epoch").and_then(Value::as_u64).unwrap_or(0);
-        let gen = v.get("gen").and_then(Value::as_u64).unwrap_or(0);
-        let mode = v
-            .get("mode")
-            .and_then(Value::as_str)
-            .unwrap_or("unknown")
-            .to_owned();
+        let v = json::parse_bytes(payload)?;
+        let ok = v.req_bool("ok")?;
+        let epoch = v.req_uint("epoch").unwrap_or(0);
+        let gen = v.req_uint("gen").unwrap_or(0);
+        let mode = v.req_str("mode").unwrap_or("unknown").to_owned();
         if !ok {
             let code = v
-                .get("error")
-                .and_then(Value::as_str)
+                .req_str("error")
+                .ok()
                 .and_then(ErrorCode::from_tag)
                 .ok_or(WireError::Malformed("error reply without a known code"))?;
-            let message = v
-                .get("message")
-                .and_then(Value::as_str)
-                .unwrap_or_default()
-                .to_owned();
             return Ok(Response::Error {
                 code,
                 epoch,
                 gen,
                 mode,
-                message,
+                message: v.req_str("message").unwrap_or_default().to_owned(),
             });
         }
-        let reply = v
-            .get("reply")
-            .and_then(Value::as_str)
-            .ok_or(WireError::Malformed("ok reply without a reply tag"))?;
-        let field = |name: &'static str, missing: &'static str| {
-            v.get(name).and_then(Value::as_u64).ok_or({
-                // The message names the field generically; `missing`
-                // keeps the borrow 'static for the error type.
-                WireError::Malformed(missing)
-            })
-        };
-        match reply {
-            "status" => Ok(Response::Status {
+        Ok(match v.req_str("reply")? {
+            "status" => Response::Status {
                 epoch,
                 mode,
                 gen,
-                now: field("now", "status without now")?,
-                pending: field("pending", "status without pending")?,
-                committed_batch_id: field(
-                    "committed_batch_id",
-                    "status without committed_batch_id",
-                )?,
-                reconv_count: field("reconv_count", "status without reconv_count")?,
-                reconv_total_us: field("reconv_total_us", "status without reconv_total_us")?,
-                reconv_max_us: field("reconv_max_us", "status without reconv_max_us")?,
-                degraded_attempts: field("degraded_attempts", "status without degraded_attempts")?,
-            }),
-            "digest" => Ok(Response::Digest {
+                now: v.req_uint("now")?,
+                pending: v.req_uint("pending")?,
+                committed_batch_id: v.req_uint("committed_batch_id")?,
+                reconv_count: v.req_uint("reconv_count")?,
+                reconv_total_us: v.req_uint("reconv_total_us")?,
+                reconv_max_us: v.req_uint("reconv_max_us")?,
+                degraded_attempts: v.req_uint("degraded_attempts")?,
+            },
+            "digest" => Response::Digest {
                 epoch,
                 mode,
-                digest: v
-                    .get("digest")
-                    .and_then(Value::as_str)
-                    .ok_or(WireError::Malformed("digest reply without a digest"))?
-                    .to_owned(),
-            }),
+                digest: v.req_str("digest")?.to_owned(),
+            },
             "paths" => {
-                let raw = v
-                    .get("paths")
-                    .and_then(Value::as_arr)
-                    .ok_or(WireError::Malformed("paths reply without paths"))?;
-                let mut paths = Vec::with_capacity(raw.len());
-                for list in raw {
-                    let ids = list
-                        .as_arr()
-                        .ok_or(WireError::Malformed("path list is not an array"))?;
-                    let mut out = Vec::with_capacity(ids.len());
-                    for id in ids {
-                        out.push(
-                            id.as_u64()
-                                .ok_or(WireError::Malformed("path id is not an integer"))?,
-                        );
-                    }
-                    paths.push(out);
+                let lists = v.req_arr("paths")?;
+                let mut paths = Vec::with_capacity(lists.len());
+                for list in lists {
+                    let ids = list.as_arr().ok_or(FieldError("paths"))?;
+                    paths.push(uints(ids, "paths")?);
                 }
-                Ok(Response::Paths { epoch, mode, paths })
+                Response::Paths { epoch, mode, paths }
             }
-            "fault" => Ok(Response::Fault {
+            "fault" => Response::Fault {
                 epoch,
                 mode,
                 gen,
-                batch_id: field("batch_id", "fault reply without batch_id")?,
-                applied: v
-                    .get("applied")
-                    .and_then(Value::as_bool)
-                    .ok_or(WireError::Malformed("fault reply without applied"))?,
-            }),
-            "replicate" => {
-                let links = v
-                    .get("failed_links")
-                    .and_then(Value::as_arr)
-                    .ok_or(WireError::Malformed("replicate without failed_links"))?;
-                let mut failed_links = Vec::with_capacity(links.len());
-                for l in links {
-                    failed_links.push(
-                        l.as_u64()
-                            .and_then(|x| u32::try_from(x).ok())
-                            .ok_or(WireError::Malformed("failed link id is not a u32"))?,
-                    );
-                }
-                let switches = v
-                    .get("failed_switches")
-                    .and_then(Value::as_arr)
-                    .ok_or(WireError::Malformed("replicate without failed_switches"))?;
-                let mut failed_switches = Vec::with_capacity(switches.len());
-                for s in switches {
-                    let pair = s
-                        .as_arr()
-                        .filter(|a| a.len() == 2)
-                        .ok_or(WireError::Malformed("failed switch is not a 2-array"))?;
-                    let level = pair
-                        .first()
-                        .and_then(Value::as_u64)
-                        .and_then(|x| u8::try_from(x).ok());
-                    let rank = pair
-                        .get(1)
-                        .and_then(Value::as_u64)
-                        .and_then(|x| u32::try_from(x).ok());
-                    match (level, rank) {
-                        (Some(l), Some(r)) => failed_switches.push((l, r)),
-                        _ => return Err(WireError::Malformed("switch level/rank out of range")),
-                    }
-                }
-                let raw = v
-                    .get("changes")
-                    .and_then(Value::as_arr)
-                    .ok_or(WireError::Malformed("replicate without changes"))?;
-                let mut changes = Vec::with_capacity(raw.len());
-                for item in raw {
-                    changes.push(ChangeSpec::from_json(item)?);
-                }
-                Ok(Response::Replicate {
-                    mode,
-                    cp: Checkpoint {
-                        generation: gen,
-                        epoch,
-                        now: field("now", "replicate without now")?,
-                        drained_through: field(
-                            "drained_through",
-                            "replicate without drained_through",
-                        )?,
-                        committed_batch_id: field(
-                            "committed_batch_id",
-                            "replicate without committed_batch_id",
-                        )?,
-                        failed_links,
-                        failed_switches,
-                    },
-                    changes,
-                })
-            }
-            "tick" => Ok(Response::Tick {
+                batch_id: v.req_uint("batch_id")?,
+                applied: v.req_bool("applied")?,
+            },
+            "replicate" => Response::Replicate {
+                mode,
+                cp: Checkpoint {
+                    generation: gen,
+                    epoch,
+                    now: v.req_uint("now")?,
+                    drained_through: v.req_uint("drained_through")?,
+                    committed_batch_id: v.req_uint("committed_batch_id")?,
+                    failed_links: uints(v.req_arr("failed_links")?, "failed_links")?,
+                    failed_switches: uint_pairs(&v, "failed_switches")?,
+                },
+                changes: ChangeSpec::list_from_json(&v)?,
+            },
+            "tick" => Response::Tick {
                 epoch,
                 mode,
-                now: field("now", "tick reply without now")?,
-            }),
-            "chaos" => Ok(Response::Chaos {
+                now: v.req_uint("now")?,
+            },
+            "chaos" => Response::Chaos {
                 epoch,
                 mode,
-                fail_certs: v
-                    .get("fail_certs")
-                    .and_then(Value::as_bool)
-                    .ok_or(WireError::Malformed("chaos reply without fail_certs"))?,
-            }),
-            "shutdown" => Ok(Response::Shutdown { epoch, mode }),
-            _ => Err(WireError::Malformed("unknown reply tag")),
-        }
+                fail_certs: v.req_bool("fail_certs")?,
+            },
+            "shutdown" => Response::Shutdown { epoch, mode },
+            _ => return Err(WireError::Malformed("unknown reply tag")),
+        })
     }
 }
 
@@ -1052,6 +884,15 @@ mod tests {
             read_frame(&mut cursor),
             Err(WireError::FrameTooLarge(_))
         ));
+
+        // A payload length past u32 is reported saturated, not wrapped
+        // to its low 32 bits.
+        let over_4g = usize::try_from((1u64 << 32) + 7).expect("64-bit target");
+        assert!(matches!(
+            frame_len(over_4g),
+            Err(WireError::FrameTooLarge(u32::MAX))
+        ));
+        assert!(matches!(frame_len(MAX_FRAME as usize), Ok(MAX_FRAME)));
 
         // Truncated payloads surface as io errors, not panics.
         let mut truncated = 100u32.to_le_bytes().to_vec();

@@ -221,7 +221,7 @@ fn degraded_backoff_is_capped() {
 
 #[test]
 fn kill_and_resume_replays_the_schedule_byte_identically() {
-    let (_, topo) = lmpr_bench::topology_by_name(TOPO).expect("topo");
+    let (_, topo) = xgft::topology_by_name(TOPO).expect("topo");
     let schedule = FaultSchedule::poisson(&topo, 5e-4, 500.0, 3_000, 9);
     assert!(
         schedule.events().len() >= 8,

@@ -4,12 +4,13 @@
 //!
 //! # Format
 //!
-//! A snapshot is `magic (8) · version (u32) · payload length (u64) ·
-//! FNV-1a-64 checksum of the payload (u64) · payload`, all
-//! little-endian. [`FlitSim::restore`] verifies magic, version, length
-//! and checksum *before* decoding a single payload byte, so a truncated
-//! or bit-flipped file is rejected with a typed [`SnapshotError`] —
-//! never a panic, never a silently wrong simulator.
+//! A snapshot is the `lmpr_codec::envelope` — `magic (8) · version
+//! (u32) · payload length (u64) · FNV-1a-64 checksum of the payload
+//! (u64) · payload`, all little-endian — under [`SNAPSHOT_MAGIC`] and
+//! [`SNAPSHOT_VERSION`]. [`FlitSim::restore`] verifies magic, version,
+//! length and checksum *before* decoding a single payload byte, so a
+//! truncated or bit-flipped file is rejected with a typed
+//! [`SnapshotError`] — never a panic, never a silently wrong simulator.
 //!
 //! # Serialized vs. rebuilt
 //!
@@ -48,6 +49,7 @@ use crate::routing_view::{RoutingView, ViewBatch};
 use crate::sim::{downstream_voq, scan_src_ready, FlitSim};
 use crate::traffic_mode::TrafficMode;
 use crate::util::{ix, small_u32, Slab};
+use lmpr_codec::envelope::{self, Dec, Enc};
 use lmpr_core::{Router, SelectionStats};
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
@@ -62,8 +64,6 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"LMPRSNAP";
 /// readers reject newer snapshots with a typed error instead of
 /// misinterpreting bytes.
 pub const SNAPSHOT_VERSION: u32 = 1;
-
-const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 
 /// Why a snapshot could not be restored. Every variant is a structured
 /// rejection — restoring never panics and never yields a simulator
@@ -126,147 +126,28 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// FNV-1a 64-bit over `bytes` — dependency-free corruption detection.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-// ---------------------------------------------------------------------
-// Byte writer / fallible reader
-// ---------------------------------------------------------------------
-
-#[derive(Default)]
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    /// f64 as raw IEEE bits: bit-exact round-trip, NaN-safe.
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn seq_len(&mut self, len: usize) {
-        self.u64(len as u64);
-    }
-    fn opt_u32(&mut self, v: Option<u32>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.u32(x);
+/// Envelope and cursor errors keep their snapshot spelling: the header
+/// checks and the payload reads live in `lmpr_codec::envelope`.
+impl From<envelope::Error> for SnapshotError {
+    fn from(e: envelope::Error) -> Self {
+        match e {
+            envelope::Error::TooShort => SnapshotError::TooShort,
+            envelope::Error::BadMagic => SnapshotError::BadMagic,
+            envelope::Error::BadVersion(v) => SnapshotError::UnsupportedVersion(v),
+            envelope::Error::Oversize { declared, actual }
+            | envelope::Error::LengthMismatch { declared, actual } => {
+                SnapshotError::LengthMismatch { declared, actual }
             }
+            envelope::Error::ChecksumMismatch { declared, actual } => {
+                SnapshotError::ChecksumMismatch { declared, actual }
+            }
+            envelope::Error::Truncated => SnapshotError::Truncated,
+            envelope::Error::Corrupt(what) => SnapshotError::Corrupt(what),
         }
     }
-}
-
-struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
 }
 
 type DecResult<T> = Result<T, SnapshotError>;
-
-impl<'a> Dec<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Dec { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> DecResult<&'a [u8]> {
-        let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
-        let s = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or(SnapshotError::Truncated)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> DecResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn bool(&mut self) -> DecResult<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapshotError::Corrupt("boolean out of range")),
-        }
-    }
-
-    fn u16(&mut self) -> DecResult<u16> {
-        let b = self.take(2)?;
-        b.try_into()
-            .map(u16::from_le_bytes)
-            .map_err(|_| SnapshotError::Truncated)
-    }
-
-    fn u32(&mut self) -> DecResult<u32> {
-        let b = self.take(4)?;
-        b.try_into()
-            .map(u32::from_le_bytes)
-            .map_err(|_| SnapshotError::Truncated)
-    }
-
-    fn u64(&mut self) -> DecResult<u64> {
-        let b = self.take(8)?;
-        b.try_into()
-            .map(u64::from_le_bytes)
-            .map_err(|_| SnapshotError::Truncated)
-    }
-
-    fn f64(&mut self) -> DecResult<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Length prefix of a sequence whose elements occupy at least
-    /// `min_elem` bytes each — bounds allocation by the bytes actually
-    /// present, so a corrupted length cannot demand absurd memory.
-    fn seq_len(&mut self, min_elem: usize) -> DecResult<usize> {
-        let len = self.u64()?;
-        let remaining = (self.bytes.len() - self.pos) as u64;
-        let min_elem = min_elem.max(1) as u64;
-        if len > remaining / min_elem {
-            return Err(SnapshotError::Corrupt("sequence length exceeds payload"));
-        }
-        Ok(len as usize)
-    }
-
-    fn opt_u32(&mut self) -> DecResult<Option<u32>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u32()?)),
-            _ => Err(SnapshotError::Corrupt("option tag out of range")),
-        }
-    }
-
-    fn finish(self) -> DecResult<()> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(SnapshotError::Corrupt("trailing bytes after payload"))
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Field-group encoders / decoders
@@ -920,14 +801,7 @@ impl<R: Router> FlitSim<R> {
         enc_ledger(&mut e, &self.ledger);
         enc_routing(&mut e, &self.routing);
 
-        let payload = e.buf;
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        envelope::seal(&SNAPSHOT_MAGIC, SNAPSHOT_VERSION, e.bytes())
     }
 
     /// Restore a simulator from [`FlitSim::snapshot`] bytes. The caller
@@ -939,42 +813,7 @@ impl<R: Router> FlitSim<R> {
     /// Magic, version, length and checksum are verified *before* any
     /// payload decoding; every failure is a typed [`SnapshotError`].
     pub fn restore(router: R, bytes: &[u8]) -> Result<Self, SnapshotError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(SnapshotError::TooShort);
-        }
-        if bytes[..8] != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = bytes[8..12]
-            .try_into()
-            .map(u32::from_le_bytes)
-            .map_err(|_| SnapshotError::TooShort)?;
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let declared_len = bytes[12..20]
-            .try_into()
-            .map(u64::from_le_bytes)
-            .map_err(|_| SnapshotError::TooShort)?;
-        let declared_sum = bytes[20..28]
-            .try_into()
-            .map(u64::from_le_bytes)
-            .map_err(|_| SnapshotError::TooShort)?;
-        let payload = &bytes[HEADER_LEN..];
-        if payload.len() as u64 != declared_len {
-            return Err(SnapshotError::LengthMismatch {
-                declared: declared_len,
-                actual: payload.len() as u64,
-            });
-        }
-        let actual_sum = fnv1a64(payload);
-        if actual_sum != declared_sum {
-            return Err(SnapshotError::ChecksumMismatch {
-                declared: declared_sum,
-                actual: actual_sum,
-            });
-        }
-
+        let payload = envelope::open(bytes, &SNAPSHOT_MAGIC, SNAPSHOT_VERSION, u64::MAX)?;
         let mut d = Dec::new(payload);
         let nm = d.seq_len(4)?;
         let mut m = Vec::with_capacity(nm);
@@ -1126,38 +965,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fnv_vectors() {
-        // Known FNV-1a 64 vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
-
-    #[test]
     fn header_rejections_are_typed() {
         assert_eq!(
             FlitSim::restore(lmpr_core::DModK, &[]).err(),
             Some(SnapshotError::TooShort)
         );
-        let mut junk = vec![0u8; HEADER_LEN + 4];
+        let mut junk = vec![0u8; envelope::HEADER_LEN + 4];
         junk[..8].copy_from_slice(b"NOTASNAP");
         assert_eq!(
             FlitSim::restore(lmpr_core::DModK, &junk).err(),
             Some(SnapshotError::BadMagic)
         );
-    }
-
-    #[test]
-    fn decoder_guards_lengths() {
-        let mut e = Enc::default();
-        e.seq_len(1_000_000);
-        let mut d = Dec::new(&e.buf);
-        assert_eq!(
-            d.seq_len(8),
-            Err(SnapshotError::Corrupt("sequence length exceeds payload"))
-        );
-        let mut d = Dec::new(&[2]);
-        assert!(matches!(d.bool(), Err(SnapshotError::Corrupt(_))));
-        let mut d = Dec::new(&[]);
-        assert_eq!(d.u64(), Err(SnapshotError::Truncated));
     }
 }

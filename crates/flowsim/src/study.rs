@@ -11,6 +11,7 @@
 //! index)`, which keeps results bit-identical for any thread count.
 
 use crate::LinkLoads;
+use lmpr_codec::splitmix;
 use lmpr_core::{Router, RouterKind};
 use lmpr_traffic::{random_permutation, TrafficMatrix};
 use xgft::Topology;
@@ -192,10 +193,7 @@ pub fn average_over_seeds(
 
 /// SplitMix64: decorrelate per-sample permutation seeds.
 fn sample_seed(base: u64, index: u64) -> u64 {
-    let mut z = base ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix::finalize(base ^ index.wrapping_mul(splitmix::GAMMA))
 }
 
 fn mean_std(values: &[f64]) -> (f64, f64) {

@@ -8,6 +8,7 @@
 //! coverage *certificate* — together with one [`CheckRun`] entry per
 //! rule recording how much ground the check covered.
 
+use lmpr_codec::json::json_string;
 use std::fmt;
 use xgft::{DirectedLinkId, PathId, PnId};
 
@@ -373,24 +374,6 @@ fn witness_json(w: &Witness) -> String {
             src.0, dst.0, slot
         ),
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 //! fault-free code paths.
 
 use crate::{DirectedLinkId, NodeId, PathId, PnId, Topology};
+use lmpr_codec::splitmix;
 
 /// A set of failed directed links and failed switches.
 ///
@@ -49,13 +50,13 @@ impl FaultSet {
         let mut set = FaultSet::new();
         let mut state = seed ^ 0x0FA1_75E7_5EED;
         for id in 0..topo.num_links() {
-            if unit_f64(splitmix64(&mut state)) < link_rate {
+            if splitmix::unit_f64(splitmix::next(&mut state)) < link_rate {
                 set.fail_link(DirectedLinkId(id));
             }
         }
         for level in 1..=topo.height() {
             for rank in 0..topo.nodes_at_level(level) {
-                if unit_f64(splitmix64(&mut state)) < switch_rate {
+                if splitmix::unit_f64(splitmix::next(&mut state)) < switch_rate {
                     set.fail_switch(
                         topo,
                         NodeId {
@@ -201,20 +202,6 @@ impl FaultSet {
     }
 }
 
-/// SplitMix64 step — keeps this crate free of external dependencies.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Uniform `f64` in `[0, 1)` from the top 53 bits.
-fn unit_f64(x: u64) -> f64 {
-    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,8 +341,8 @@ mod tests {
                 let switch_rate = if case % 2 == 0 { 0.0 } else { 0.05 };
                 let f = FaultSet::sample(&t, link_rate, switch_rate, case ^ 0x5EED);
                 for _ in 0..16 {
-                    let s = PnId((splitmix64(&mut rng) % t.num_pns() as u64) as u32);
-                    let d = PnId((splitmix64(&mut rng) % t.num_pns() as u64) as u32);
+                    let s = PnId((splitmix::next(&mut rng) % t.num_pns() as u64) as u32);
+                    let d = PnId((splitmix::next(&mut rng) % t.num_pns() as u64) as u32);
                     let x = t.num_paths(s, d);
                     let mut surviving = Vec::new();
                     f.fill_surviving(&t, s, d, &mut surviving);

@@ -71,7 +71,7 @@ pub use paths::PathWalk;
 pub use schedule::{FaultChange, FaultEvent, FaultSchedule};
 pub use spec::XgftSpec;
 pub use subtree::SubtreeCut;
-pub use topology::{LinkEndpoints, Topology};
+pub use topology::{topology_by_name, LinkEndpoints, Topology};
 
 /// Maximum supported tree height `h`.
 ///

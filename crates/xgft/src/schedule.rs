@@ -20,6 +20,7 @@
 //!   for degradation-curve sweeps ("chaos" runs).
 
 use crate::{DirectedLinkId, FaultSet, NodeId, Topology};
+use lmpr_codec::splitmix;
 
 /// One state change of the fault timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,16 +215,11 @@ impl FaultSchedule {
     }
 }
 
-/// Exponential draw with the crate-local SplitMix64 generator (keeps the
-/// crate dependency-free, like [`FaultSet::sample`]).
+/// Exponential draw from the SplitMix64 stream `state` (the generator
+/// [`FaultSet::sample`] uses).
 fn exp_draw(state: &mut u64, rate: f64) -> f64 {
     debug_assert!(rate > 0.0);
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    let u = (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+    let u = splitmix::unit_f64(splitmix::next(state));
     // Map (0, 1]: avoid ln(0).
     -(1.0 - u).ln() / rate
 }

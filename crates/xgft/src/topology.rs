@@ -399,9 +399,37 @@ impl Topology {
     }
 }
 
+/// The evaluation topologies of §5, keyed the way the paper labels
+/// them, as `(spec label, topology)`.
+pub fn topology_by_name(name: &str) -> Option<(String, Topology)> {
+    let spec = match name {
+        // Figure 4 panels.
+        "a" | "16port2tree" => XgftSpec::m_port_n_tree(16, 2),
+        "b" | "16port3tree" => XgftSpec::m_port_n_tree(16, 3),
+        "c" | "24port2tree" => XgftSpec::m_port_n_tree(24, 2),
+        "d" | "24port3tree" => XgftSpec::m_port_n_tree(24, 3),
+        // The remaining §5 topologies.
+        "8port2tree" => XgftSpec::m_port_n_tree(8, 2),
+        "8port3tree" => XgftSpec::m_port_n_tree(8, 3),
+        _ => return None,
+    }
+    .ok()?;
+    let label = format!("{spec}");
+    Some((label, Topology::new(spec)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn named_topologies_resolve() {
+        let (label, t) = topology_by_name("b").unwrap();
+        assert_eq!(label, "XGFT(3; 8,8,16; 1,8,8)");
+        assert_eq!(t.num_pns(), 1024);
+        assert!(topology_by_name("z").is_none());
+        assert_eq!(topology_by_name("d").unwrap().1.num_pns(), 3456);
+    }
 
     fn fig3() -> Topology {
         Topology::new(XgftSpec::new(&[4, 4, 4], &[1, 2, 4]).unwrap())

@@ -1,5 +1,5 @@
 //! `cargo xtask analyze`: the workspace determinism / cast-safety /
-//! concurrency-discipline analyzer.
+//! concurrency-discipline / panic-freedom analyzer.
 //!
 //! Every acceptance gate in this reproduction — golden chaos/faults
 //! documents, SIGKILL-and-resume byte identity, per-epoch `LMPRCTLS`
@@ -27,13 +27,19 @@
 //!   `.lock()` acquisition order across functions.
 //! * **UNSAFE-FORBID** — every crate root (lib, bin, example) must
 //!   carry `#![forbid(unsafe_code)]`. Never allowlistable.
+//! * **PANIC-SITE** — `unwrap()` / `expect()` / `panic!` in library
+//!   code (every audited root but the experiment binaries in
+//!   `crates/bench`), which must surface failures as typed errors
+//!   (`RouteError`, `SpecError`, `SimError`, …). The vetted remainder —
+//!   documented invariant panics such as `K ≥ 1` constructor guards —
+//!   is pinned like any other finding.
 //!
-//! Findings are pinned in `crates/xtask/analyze-allowlist.txt` with the
-//! same exact-count ratchet semantics as the panic lint: a rising count
-//! fails (fix or vet), a falling count fails until `--update` tightens
-//! the pin, stale entries fail, and deny-listed directories
-//! (`crates/flitsim/src`, `crates/ctld/src`) can never pin DET-ORDER or
-//! DET-TIME findings at all. Each run emits an `lmpr_verify`-style JSON
+//! Findings are pinned in `crates/xtask/analyze-allowlist.txt` with an
+//! exact-count ratchet: a rising count fails (fix or vet), a falling
+//! count fails until `--update` tightens the pin, stale entries fail,
+//! and deny-listed directories (`crates/flitsim/src`, `crates/ctld/src`,
+//! `crates/codec/src`) can never pin DET-ORDER, DET-TIME or PANIC-SITE
+//! findings at all. Each run emits an `lmpr_verify`-style JSON
 //! certificate to `target/analyze-report.json`.
 
 use crate::lexer;
@@ -48,6 +54,7 @@ use std::process::ExitCode;
 /// Source roots the analyzer audits: every crate that feeds serialized
 /// output (results documents, certificates, checkpoints, benchmarks).
 const ANALYZE_ROOTS: &[&str] = &[
+    "crates/codec/src",
     "crates/xgft/src",
     "crates/core/src",
     "crates/traffic/src",
@@ -64,6 +71,7 @@ const ANALYZE_ROOTS: &[&str] = &[
 /// (`rand`, `proptest`, `criterion`) are out of scope.
 const CRATE_SRC_DIRS: &[&str] = &[
     "src",
+    "crates/codec/src",
     "crates/xgft/src",
     "crates/core/src",
     "crates/traffic/src",
@@ -74,6 +82,10 @@ const CRATE_SRC_DIRS: &[&str] = &[
     "crates/bench/src",
     "crates/xtask/src",
 ];
+
+/// The one audited root whose files PANIC-SITE skips: experiment
+/// binaries may abort on a broken run; libraries may not.
+const PANIC_EXEMPT_ROOT: &str = "crates/bench/src/";
 
 /// Modules approved to read wall clocks: orchestrator deadlines, the
 /// ctld server queue (enqueue timestamps for deadline rejection), and
@@ -109,12 +121,12 @@ pub(crate) struct Site {
     pub msg: String,
 }
 
-/// Whether `(rule, file)` can never be vetted: DET-ORDER and DET-TIME
-/// in the deny-listed simulator/daemon directories, and UNSAFE-FORBID
-/// anywhere.
+/// Whether `(rule, file)` can never be vetted: DET-ORDER, DET-TIME and
+/// PANIC-SITE in the deny-listed simulator/daemon/codec directories,
+/// and UNSAFE-FORBID anywhere.
 pub(crate) fn rule_denied(rule: RuleId, file: &str) -> bool {
     match rule {
-        RuleId::DetOrder | RuleId::DetTime => denied(file),
+        RuleId::DetOrder | RuleId::DetTime | RuleId::PanicSite => denied(file),
         RuleId::UnsafeForbid => true,
         RuleId::CastNarrow | RuleId::ThreadDiscipline => false,
     }
@@ -556,6 +568,32 @@ pub(crate) fn has_forbid_unsafe(text: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------
+// PANIC-SITE
+// ---------------------------------------------------------------------
+
+/// The forbidden call forms. `.unwrap()` is matched exactly so
+/// `unwrap_or_else` and friends stay legal; `.expect(` does not match
+/// `.expect_err(`.
+const PANIC_PATTERNS: &[&str] = &[".unwrap()", ".expect(", "panic!"];
+
+/// PANIC-SITE: forbidden call forms outside test code, one site per
+/// (line, pattern).
+pub(crate) fn panic_sites(masked: &str) -> Vec<Site> {
+    let mut sites = Vec::new();
+    for (ln, line) in masked.lines().enumerate() {
+        for pat in PANIC_PATTERNS {
+            if line.contains(pat) {
+                sites.push(Site {
+                    line: ln + 1,
+                    msg: format!("`{pat}` in library code; surface a typed error instead"),
+                });
+            }
+        }
+    }
+    sites
+}
+
+// ---------------------------------------------------------------------
 // Ratchet
 // ---------------------------------------------------------------------
 
@@ -721,6 +759,10 @@ fn run_rules(root: &Path) -> Result<(Counts, Vec<CheckRun>), String> {
             *inspected.entry(RuleId::ThreadDiscipline).or_default() += 1;
             add(RuleId::ThreadDiscipline, thread_primitives(&masked));
         }
+        if !relpath.starts_with(PANIC_EXEMPT_ROOT) {
+            *inspected.entry(RuleId::PanicSite).or_default() += 1;
+            add(RuleId::PanicSite, panic_sites(&masked));
+        }
         // Lock ordering is audited everywhere, approved modules
         // included: approval covers *owning* locks, not acquiring them
         // in conflicting orders.
@@ -770,9 +812,10 @@ fn render_allowlist(counts: &Counts) -> (String, Vec<Diagnostic>) {
          # Format: <RULE> <count> <path>. Regenerate with\n\
          # `cargo xtask analyze --update` after vetting any change; the gate\n\
          # fails on both increases (new hazards) and decreases (stale pins).\n\
-         # DET-ORDER and DET-TIME findings under crates/flitsim/src and\n\
-         # crates/ctld/src can never be pinned here (the simulator and the\n\
-         # controller daemon are bit-deterministic by construction), and\n\
+         # DET-ORDER, DET-TIME and PANIC-SITE findings under\n\
+         # crates/flitsim/src, crates/ctld/src and crates/codec/src can never\n\
+         # be pinned here (the simulator, the controller daemon and the codec\n\
+         # are bit-deterministic and panic-free by construction), and\n\
          # UNSAFE-FORBID findings can never be pinned anywhere.\n",
     );
     let mut refused = Vec::new();
@@ -1045,6 +1088,27 @@ mod tests {
         assert!(!has_forbid_unsafe("fn main() {}\n"));
     }
 
+    // ---- PANIC-SITE fixtures ----
+
+    #[test]
+    fn panic_sites_skip_strings_comments_and_tests() {
+        let src = "fn f() {\n    // this .unwrap() is a comment\n    /* and panic! here too */\n\
+                   \x20   let s = \"mentions .unwrap() and panic! in a string\";\n    g(s)\n}\n\
+                   #[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); panic!(); }\n}\n\
+                   fn lib2() { y.unwrap() }\n";
+        let sites = panic_sites(&mask(src));
+        assert_eq!(sites.len(), 1, "{sites:?}");
+        assert_eq!(sites[0].line, 11);
+    }
+
+    #[test]
+    fn panic_sites_count_each_form_and_spare_the_total_variants() {
+        let src = "fn f() {\n    x.unwrap();\n    y.expect(\"msg\");\n    panic!(\"boom\");\n\
+                   \x20   x.unwrap_or_else(|| 0); x.unwrap_or(1); r.expect_err(\"e\");\n}\n";
+        let lines: Vec<usize> = panic_sites(&mask(src)).iter().map(|s| s.line).collect();
+        assert_eq!(lines, [2, 3, 4]);
+    }
+
     // ---- Ratchet semantics ----
 
     fn one_count(rule: RuleId, file: &str, n: usize) -> Counts {
@@ -1127,13 +1191,13 @@ mod tests {
 
     // ---- Meta-tests over the real tree ----
 
-    /// The simulator and controller sources must be free of DET-ORDER
-    /// and DET-TIME findings *in fact*, not just unpinned: zero-entry
-    /// budgets, verified against the live tree.
+    /// The simulator, controller and codec sources must be free of
+    /// DET-ORDER, DET-TIME and PANIC-SITE findings *in fact*, not just
+    /// unpinned: zero-entry budgets, verified against the live tree.
     #[test]
-    fn flitsim_and_ctld_carry_zero_det_budgets() {
+    fn deny_dirs_carry_zero_det_and_panic_budgets() {
         let root = workspace_root();
-        for dir in ["crates/flitsim/src", "crates/ctld/src"] {
+        for dir in crate::workspace::DENY_DIRS {
             let mut files = Vec::new();
             collect_rs_files(&root.join(dir), &mut files);
             files.sort();
@@ -1148,6 +1212,8 @@ mod tests {
                     let t = det_time(&masked);
                     assert!(t.is_empty(), "{relpath}: DET-TIME findings {t:?}");
                 }
+                let p = panic_sites(&masked);
+                assert!(p.is_empty(), "{relpath}: PANIC-SITE findings {p:?}");
             }
         }
     }

@@ -1,36 +1,27 @@
 //! Workspace automation tasks, invoked as `cargo xtask <task>`.
 //!
-//! * `lint [--update]` — the panic ratchet: no *new* `unwrap()` /
-//!   `expect()` / `panic!` sites in library code ([`lint`]).
 //! * `analyze [--ci|--update]` — the determinism / cast-safety /
-//!   concurrency-discipline analyzer with `lmpr_verify`-style JSON
-//!   certificates ([`analyze`]).
-//!
-//! Both passes share the masked lexer in [`lexer`] and the allowlist
-//! ratchet philosophy: exact per-file pins that fail on increases *and*
-//! decreases, with deny-listed directories that can never be pinned.
+//!   concurrency-discipline / panic-freedom analyzer with
+//!   `lmpr_verify`-style JSON certificates ([`analyze`]): six lexical
+//!   passes over the masked lexer in [`lexer`], one allowlist, one
+//!   ratchet — exact per-file pins that fail on increases *and*
+//!   decreases, with deny-listed directories that can never be pinned.
 
 #![forbid(unsafe_code)]
 
 mod analyze;
 mod lexer;
-mod lint;
 mod report;
 mod workspace;
 
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: cargo xtask <task>\n\
-    \x20 lint [--update]          panic ratchet over library code\n\
-    \x20 analyze [--ci|--update]  determinism/cast/concurrency analyzer";
+    \x20 analyze [--ci|--update]  determinism/cast/concurrency/panic analyzer";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
-        Some("lint") => {
-            let update = matches!(args.next().as_deref(), Some("--update"));
-            lint::lint(update)
-        }
         Some("analyze") => match args.next().as_deref() {
             Some("--update") => analyze::analyze(true),
             // `--ci` is the explicit gate spelling; bare `analyze`

@@ -5,9 +5,11 @@
 //! `lmpr_verify::diag`: a [`Report`] whose `findings` list is empty is
 //! the certificate, one [`CheckRun`] per rule records coverage, and
 //! every [`Diagnostic`] carries a machine-readable witness — here a
-//! `{file, line}` source location instead of an SD pair. (xtask stays
-//! dependency-free, so the types are local rather than imported.)
+//! `{file, line}` source location instead of an SD pair. (xtask links
+//! only the leaf `lmpr-codec`, so the types are local rather than
+//! imported.)
 
+use lmpr_codec::json::json_string;
 use std::fmt;
 
 /// How bad a finding is. Both kinds fail the gate (the ratchet is
@@ -50,6 +52,9 @@ pub enum RuleId {
     ThreadDiscipline,
     /// A crate root missing `#![forbid(unsafe_code)]`.
     UnsafeForbid,
+    /// An `unwrap()` / `expect()` / `panic!` site in library code, which
+    /// must surface failures as typed errors.
+    PanicSite,
 }
 
 /// Every rule, in execution/report order.
@@ -59,6 +64,7 @@ pub const ALL_RULES: &[RuleId] = &[
     RuleId::CastNarrow,
     RuleId::ThreadDiscipline,
     RuleId::UnsafeForbid,
+    RuleId::PanicSite,
 ];
 
 impl RuleId {
@@ -70,6 +76,7 @@ impl RuleId {
             RuleId::CastNarrow => "CAST-NARROW",
             RuleId::ThreadDiscipline => "THREAD-DISCIPLINE",
             RuleId::UnsafeForbid => "UNSAFE-FORBID",
+            RuleId::PanicSite => "PANIC-SITE",
         }
     }
 
@@ -182,25 +189,6 @@ impl Report {
         out.push('}');
         out
     }
-}
-
-/// Escape a string for JSON output.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
-//! Workspace discovery shared by `lint` and `analyze`: root location,
-//! source enumeration, and the deny-listed directories that can never
-//! buy their way into an allowlist.
+//! Workspace discovery for `analyze`: root location, source
+//! enumeration, and the deny-listed directories that can never buy
+//! their way into the allowlist.
 
 use std::path::{Path, PathBuf};
 
@@ -8,9 +8,10 @@ use std::path::{Path, PathBuf};
 /// modules decomposed out of the old `sim.rs` monolith started
 /// panic-free and deterministic, and the controller daemon — a
 /// long-running service whose whole point is surviving faults and
-/// re-publishing byte-identical epochs — was born under the same rule.
+/// re-publishing byte-identical epochs — was born under the same rule,
+/// as was the codec, which parses that daemon's untrusted socket bytes.
 /// A finding there is always a gate failure, never a vetting candidate.
-pub const DENY_DIRS: &[&str] = &["crates/flitsim/src", "crates/ctld/src"];
+pub const DENY_DIRS: &[&str] = &["crates/flitsim/src", "crates/ctld/src", "crates/codec/src"];
 
 /// Whether an allowlist entry for `file` is categorically forbidden.
 pub fn denied(file: &str) -> bool {
@@ -62,6 +63,7 @@ mod tests {
         assert!(denied("crates/flitsim/src/sweep.rs"));
         assert!(denied("crates/ctld/src/controller.rs"));
         assert!(denied("crates/ctld/src/bin/ctld.rs"));
+        assert!(denied("crates/codec/src/json.rs"));
         assert!(!denied("crates/flitsim/srcx/other.rs"));
         assert!(!denied("crates/core/src/selection.rs"));
         assert!(!denied("crates/flowsim/src/loads.rs"));
