@@ -27,6 +27,20 @@ if grep -rniE --include="*.rs" \
   echo "FNV-1a / SplitMix64 / json_string redefined outside crates/codec" >&2
   exit 1
 fi
+# Degraded selection has one path: SelectionEngine computes it (the
+# top-up lives in core/src/selection.rs), is the Router under faults,
+# and the certificate scope is derived from the blast radius — the
+# retired adapter and the knob that selected the scope stay retired.
+if grep -rnE --include="*.rs" "FaultAware|scoped_certs|full-certs" \
+     crates src tests examples; then
+  echo "FaultAware / scoped_certs / --full-certs are retired" >&2
+  exit 1
+fi
+if grep -rn --include="*.rs" "fn degrade_selection" crates src tests examples |
+   grep -v "^crates/core/src/selection.rs:"; then
+  echo "degrade_selection defined outside crates/core/src/selection.rs" >&2
+  exit 1
+fi
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

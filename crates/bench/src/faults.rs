@@ -7,14 +7,14 @@
 //!
 //! Flow-level evaluation on XGFT(3; 4,4,8; 1,4,4) (the 8-port 3-tree of
 //! §5): sample random link-failure sets at several failure rates, route
-//! uniform all-to-all traffic through the shared
-//! [`SelectionEngine`](lmpr_core::SelectionEngine) (via
-//! [`DegradedLoads`]) and report, per heuristic and path budget, the
+//! uniform all-to-all traffic through the shared [`SelectionEngine`]
+//! (via [`DegradedLoads`]) and report, per heuristic and path budget, the
 //! degraded maximum link load and the probability that an SD pair loses
 //! connectivity.
 //!
 //! A second, flit-level section replays a subset of the fault samples
-//! through the cycle-accurate simulator with the *blocking* fault policy
+//! through the cycle-accurate simulator — the same engine over the
+//! sampled fault set is its router — with the *blocking* fault policy
 //! and a watchdog: runs that survive contribute throughput records,
 //! runs that jam terminate with a typed
 //! [`SimError`](lmpr_flitsim::SimError) that is serialized into the
@@ -22,7 +22,7 @@
 //! field) instead of a bare error string.
 
 use crate::{Failure, Record};
-use lmpr_core::{FaultAware, Router, RouterKind};
+use lmpr_core::{Router, RouterKind, SelectionEngine};
 use lmpr_flitsim::{FaultPolicy, FlitSim, SimConfig, TrafficMode};
 use lmpr_flowsim::DegradedLoads;
 use lmpr_traffic::TrafficMatrix;
@@ -128,10 +128,10 @@ fn flit_level_replay(
     ] {
         for seed in 0..seeds {
             let faults = FaultSet::sample(topo, rate, 0.0, seed);
-            let fa = FaultAware::new(router, faults.clone());
+            let degraded = SelectionEngine::with_view(router, faults.clone());
             let result = FlitSim::with_faults(
                 topo,
-                fa,
+                degraded,
                 cfg,
                 TrafficMode::Uniform,
                 &faults,

@@ -760,53 +760,41 @@ fn failed_seed_to_json(seed: usize, json: &str, display: &str) -> String {
 
 fn load_journal(text: &str, quick: bool, expected: &[CellState]) -> Result<Vec<CellState>, String> {
     let doc = jsonio::parse(text).map_err(|e| e.to_string())?;
-    if doc.get("version").and_then(Value::as_u64) != Some(JOURNAL_VERSION) {
+    let bad = |e: jsonio::FieldError| e.to_string();
+    if doc.req_uint::<u64>("version").map_err(bad)? != JOURNAL_VERSION {
         return Err("journal version mismatch".into());
     }
-    if doc.get("harness").and_then(Value::as_str) != Some("chaos") {
+    if doc.req_str("harness").map_err(bad)? != "chaos" {
         return Err("journal is for a different harness".into());
     }
-    if doc.get("quick").and_then(Value::as_bool) != Some(quick) {
+    if doc.req_bool("quick").map_err(bad)? != quick {
         return Err("journal was recorded at a different statistical budget".into());
     }
-    let cells_json = doc
-        .get("cells")
-        .and_then(Value::as_arr)
-        .ok_or("journal has no cells array")?;
+    let cells_json = doc.req_arr("cells").map_err(bad)?;
     if cells_json.len() != expected.len() {
         return Err("journal cell grid does not match the plan".into());
     }
     let mut cells = Vec::with_capacity(expected.len());
     for (cell_json, proto) in cells_json.iter().zip(expected) {
-        if cell_json.get("id").and_then(Value::as_str) != Some(proto.id.as_str()) {
+        let bad = |e: jsonio::FieldError| format!("cell {}: {e}", proto.id);
+        if cell_json.req_str("id").map_err(bad)? != proto.id {
             return Err(format!("journal cell order mismatch at {}", proto.id));
         }
-        let status = match cell_json.get("status").and_then(Value::as_str) {
-            Some("pending") => CellStatus::Pending,
-            Some("done") => CellStatus::Done,
-            Some("failed") => CellStatus::Failed,
+        let status = match cell_json.req_str("status").map_err(bad)? {
+            "pending" => CellStatus::Pending,
+            "done" => CellStatus::Done,
+            "failed" => CellStatus::Failed,
             _ => return Err(format!("cell {} has an invalid status", proto.id)),
         };
-        let attempts = cell_json
-            .get("attempts")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("cell {} lacks attempts", proto.id))?
-            as u32;
+        let attempts = cell_json.req_uint::<u32>("attempts").map_err(bad)?;
         let error = match cell_json.get("error") {
             None => None,
             Some(e) => Some(SweepError {
                 cell: proto.id.clone(),
                 attempts,
-                kind: e
-                    .get("kind")
-                    .and_then(Value::as_str)
-                    .and_then(SweepErrorKind::from_tag)
+                kind: SweepErrorKind::from_tag(e.req_str("kind").map_err(bad)?)
                     .ok_or_else(|| format!("cell {} has an invalid error kind", proto.id))?,
-                message: e
-                    .get("message")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("cell {} error lacks a message", proto.id))?
-                    .to_owned(),
+                message: e.req_str("message").map_err(bad)?.to_owned(),
             }),
         };
         let partial_deliveries = match cell_json.get("partial_deliveries") {
@@ -816,10 +804,6 @@ fn load_journal(text: &str, quick: bool, expected: &[CellState]) -> Result<Vec<C
                     .ok_or_else(|| format!("cell {} has malformed partial deliveries", proto.id))?,
             ),
         };
-        let seeds = cell_json
-            .get("seeds")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| format!("cell {} lacks seeds", proto.id))?;
         let mut state = CellState {
             id: proto.id.clone(),
             kind: proto.kind,
@@ -830,8 +814,9 @@ fn load_journal(text: &str, quick: bool, expected: &[CellState]) -> Result<Vec<C
             scripted_seeds: Vec::new(),
             partial_deliveries,
         };
+        let seeds = cell_json.req_arr("seeds").map_err(bad)?;
         for (n, seed_json) in seeds.iter().enumerate() {
-            if seed_json.get("seed").and_then(Value::as_u64) != Some(n as u64) {
+            if seed_json.req_uint::<usize>("seed").map_err(bad)? != n {
                 return Err(format!("cell {} seeds are out of order", proto.id));
             }
             match proto.kind {
@@ -990,6 +975,14 @@ mod tests {
         // Reordered cells.
         let swapped = text.replace("sweep-r0-s0", "sweep-r9-s9");
         assert!(load_journal(&swapped, true, &expected).is_err());
+        // An attempt count past `u32` is refused by name, not wrapped to 1
+        // (which would let the cell outlive `max_attempts`).
+        let wrapped = text.replacen("\"attempts\": 1,", "\"attempts\": 4294967297,", 1);
+        assert_ne!(wrapped, text);
+        let reason = load_journal(&wrapped, true, &expected)
+            .err()
+            .expect("an over-range attempt count is discarded");
+        assert!(reason.contains("\"attempts\""), "{reason}");
     }
 
     #[test]

@@ -56,7 +56,6 @@
 mod disjoint;
 mod dmodk;
 mod error;
-mod fault_aware;
 pub mod forwarding;
 mod kind;
 pub mod lid;
@@ -70,7 +69,6 @@ mod umulti;
 pub use disjoint::{Disjoint, DisjointStride};
 pub use dmodk::{DModK, SModK};
 pub use error::RouteError;
-pub use fault_aware::{degrade_selection, FaultAware};
 pub use kind::RouterKind;
 pub use path_set::PathSet;
 pub use random::RandomK;

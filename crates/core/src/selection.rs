@@ -4,11 +4,13 @@
 //! flit-level simulator and the static verifier — needs the same three
 //! ingredients: the scheme's canonical selection (behind the [`Router`]
 //! trait), the fault-degraded top-up with d-mod-k-rotated scanning
-//! ([`degrade_selection`]), and, when selections are queried repeatedly
-//! under fault churn, an incremental per-SD-pair cache with blast-radius
-//! invalidation. [`SelectionEngine`] packages the three so all consumers
-//! compute (and, when cached, share) byte-identical selections instead
-//! of re-implementing the pipeline.
+//! (`degrade_selection`, private to this module), and, when selections
+//! are queried repeatedly under fault churn, an incremental per-SD-pair
+//! cache with blast-radius invalidation. [`SelectionEngine`] packages
+//! the three so all consumers compute (and, when cached, share)
+//! byte-identical selections instead of re-implementing the pipeline —
+//! and is itself a [`Router`], so anything that routes fault-free takes
+//! an engine to route degraded.
 //!
 //! # Cache coherence
 //!
@@ -31,7 +33,7 @@
 //! range tests, so reconvergence cost scales with the damage, not with
 //! the pair count or the cache size.
 
-use crate::{degrade_selection, RouteError, Router};
+use crate::{RouteError, Router};
 use lmpr_codec::{fnv, splitmix};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -114,6 +116,63 @@ impl SelectionStats {
     }
 }
 
+/// Degrade a fault-free path selection in place against a fault set.
+///
+/// `out` holds a selection computed on the fault-free enumeration (any
+/// [`Router`]'s output, mirroring a subnet manager whose routing tables
+/// were computed before the failure). Paths crossing a failed link are
+/// dropped, then the set is topped back up from the surviving
+/// enumeration so it keeps `min(budget, X_surviving)` distinct paths,
+/// where `budget` is the incoming selection size. The top-up scan starts
+/// at the pair's d-mod-k index and wraps, not at path 0: if every
+/// degraded pair topped up from the canonical start, concurrent failures
+/// would herd all repaired selections onto the lowest-numbered top
+/// switches and manufacture hot spots exactly when the network is most
+/// stressed. Rotating by the d-mod-k index keeps replacements spread by
+/// destination, the same balancing idea the shift-1 window is built on.
+///
+/// Returns `Ok(false)` when the selection passed through untouched (no
+/// fault affected it — always, with an empty fault set), `Ok(true)` when
+/// it was modified, and [`RouteError::Disconnected`] when no shortest
+/// path of the pair survives (`out` is left empty in that case).
+///
+/// Private on purpose: [`SelectionEngine`] is the only caller, so every
+/// degraded selection in the workspace comes out of the engine.
+fn degrade_selection(
+    topo: &Topology,
+    s: PnId,
+    d: PnId,
+    faults: &FaultSet,
+    out: &mut Vec<PathId>,
+) -> Result<bool, RouteError> {
+    if faults.is_empty() {
+        return Ok(false);
+    }
+    let budget = out.len();
+    out.retain(|&p| faults.path_survives(topo, s, d, p));
+    if out.len() == budget {
+        return Ok(false); // every selected path survived
+    }
+    // Re-select from the surviving enumeration, preserving the
+    // already-selected survivors and topping up from the pair's d-mod-k
+    // index (wrapping) so replacements stay spread across pairs.
+    let x = topo.num_paths(s, d);
+    let start = topo.dmodk_path(s, d).0;
+    for n in 0..x {
+        if out.len() == budget {
+            break;
+        }
+        let p = PathId((start + n) % x);
+        if !out.contains(&p) && faults.path_survives(topo, s, d, p) {
+            out.push(p);
+        }
+    }
+    if out.is_empty() {
+        return Err(RouteError::Disconnected { src: s, dst: d });
+    }
+    Ok(true)
+}
+
 /// One authority for path selection: scheme dispatch, fault-degraded
 /// top-up, and (optionally) the incremental per-SD-pair cache.
 ///
@@ -142,7 +201,10 @@ impl<R: Router> SelectionEngine<R> {
         }
     }
 
-    /// An uncached engine over an explicit fault view.
+    /// An uncached engine over an explicit fault view — the form for
+    /// one-shot consumers that ask each pair once (the verifier's
+    /// degraded-coverage audit, flow-level degraded loads), where a
+    /// cache would only be filled and dropped.
     pub fn with_view(router: R, view: FaultSet) -> Self {
         SelectionEngine {
             router,
@@ -154,7 +216,9 @@ impl<R: Router> SelectionEngine<R> {
 
     /// A cached engine over an explicit fault view: each SD pair is
     /// computed once and invalidated incrementally by
-    /// [`SelectionEngine::apply_changes`].
+    /// [`SelectionEngine::apply_changes`]. Worth its memory only where
+    /// pairs repeat between fault events (the routing controller's
+    /// serving engine, the flit simulator's scheduled routing view).
     pub fn cached(router: R, view: FaultSet) -> Self {
         SelectionEngine {
             router,
@@ -194,12 +258,25 @@ impl<R: Router> SelectionEngine<R> {
         self.stats
     }
 
+    /// The one compute step, shared by [`SelectionEngine::try_select`]
+    /// and the [`Router`] impl: the router's fault-free selection
+    /// degraded against the view. A disconnected pair leaves `out` empty.
+    fn compute(
+        &self,
+        topo: &Topology,
+        s: PnId,
+        d: PnId,
+        out: &mut Vec<PathId>,
+    ) -> Result<bool, RouteError> {
+        self.router.fill_paths(topo, s, d, out);
+        degrade_selection(topo, s, d, &self.view, out)
+    }
+
     /// Fill `out` with the selection for `(s, d)` against the current
     /// view: the router's fault-free selection with dead paths replaced
-    /// by survivors scanned from the pair's d-mod-k index (see
-    /// [`degrade_selection`]). In cached mode the result is memoized per
-    /// pair — a disconnected pair is cached as an empty selection so
-    /// repeated queries stay cheap.
+    /// by survivors scanned from the pair's d-mod-k index. In cached
+    /// mode the result is memoized per pair — a disconnected pair is
+    /// cached as an empty selection so repeated queries stay cheap.
     ///
     /// Returns `Ok(degraded)` on success (`degraded` = faults modified
     /// the fault-free selection) and [`RouteError::Disconnected`] when
@@ -224,28 +301,17 @@ impl<R: Router> SelectionEngine<R> {
             }
             self.stats.misses += 1;
         }
-        self.router.fill_paths(topo, s, d, out);
-        let result = degrade_selection(topo, s, d, &self.view, out);
-        let (degraded, err) = match result {
-            Ok(modified) => (modified, None),
-            Err(e) => {
-                out.clear();
-                (true, Some(e))
-            }
-        };
+        let result = self.compute(topo, s, d, out);
         if let Some(cache) = self.cache.as_mut() {
             cache.insert(
                 route_key(s, d),
                 CachedSelection {
                     paths: out.clone(),
-                    degraded,
+                    degraded: result != Ok(false),
                 },
             );
         }
-        match err {
-            Some(e) => Err(e),
-            None => Ok(degraded),
-        }
+        result
     }
 
     /// Infallible variant of [`SelectionEngine::try_select`]: a
@@ -401,10 +467,46 @@ impl<R: Router> SelectionEngine<R> {
     }
 }
 
+/// The engine as a [`Router`]: the `&self` read of the degraded
+/// selection, for every consumer that takes a router (the CDG builder,
+/// the flit simulator's static-fault runs, a digest over a serving
+/// cache). It answers from the cache when the pair is there and computes
+/// otherwise, but inserts nothing and counts nothing, so reading through
+/// a shared reference never perturbs a cached engine.
+impl<R: Router> Router for SelectionEngine<R> {
+    /// **Contract deviation:** for a pair the view disconnects `out` is
+    /// left *empty* (the [`Router`] trait normally guarantees a non-empty
+    /// set). Callers that must distinguish disconnection by type use
+    /// [`SelectionEngine::try_select`].
+    fn fill_paths(&self, topo: &Topology, s: PnId, d: PnId, out: &mut Vec<PathId>) {
+        match self.cache.as_ref().and_then(|c| c.get(&route_key(s, d))) {
+            Some(sel) => {
+                out.clear();
+                out.extend_from_slice(&sel.paths);
+            }
+            None => {
+                // A disconnected pair is already empty; the type is
+                // `try_select`'s to report.
+                let _ = self.compute(topo, s, d, out);
+            }
+        }
+    }
+
+    /// The inner router's name, suffixed `+faults` while the view is
+    /// non-empty.
+    fn name(&self) -> String {
+        if self.view.is_empty() {
+            self.router.name()
+        } else {
+            format!("{}+faults", self.router.name())
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DModK, Disjoint, FaultAware, ShiftOne};
+    use crate::{DModK, Disjoint, ShiftOne};
     use xgft::{FaultEvent, FaultSchedule, XgftSpec};
 
     fn fig3() -> Topology {
@@ -422,44 +524,105 @@ mod tests {
         assert_eq!(engine.stats(), SelectionStats::default());
         assert_eq!(engine.cache_len(), 0);
         assert!(!engine.is_cached());
+        // As a router it is the inner router, by selection and by name.
+        assert_eq!(
+            engine.path_set(&topo, s, d),
+            ShiftOne::new(3).path_set(&topo, s, d)
+        );
+        assert_eq!(engine.name(), "shift-1(3)");
     }
 
     #[test]
-    fn cached_engine_matches_fault_aware_adapter() {
+    fn dead_paths_are_replaced_by_survivors() {
+        let topo = fig3();
+        let (s, d) = (PnId(0), PnId(63));
+        // Kill top switch 0 — path 0 dies; shift-1 at the d-mod-k index 7
+        // selects {7, 0, 1}; the degraded set must swap 0 for a survivor
+        // and keep cardinality 3.
+        let mut faults = FaultSet::new();
+        faults.fail_switch(&topo, xgft::NodeId { level: 3, rank: 0 });
+        let mut engine = SelectionEngine::with_view(ShiftOne::new(3), faults.clone());
+        let mut out = Vec::new();
+        assert_eq!(engine.try_select(&topo, s, d, &mut out), Ok(true));
+        assert_eq!(out.len(), 3);
+        assert!(out.iter().all(|&p| faults.path_survives(&topo, s, d, p)));
+        assert!(out.contains(&PathId(7)));
+        assert!(out.contains(&PathId(1)));
+        assert!(!out.contains(&PathId(0)));
+        assert_eq!(engine.name(), "shift-1(3)+faults");
+    }
+
+    #[test]
+    fn cardinality_is_min_k_surviving() {
+        let topo = fig3();
+        let (s, d) = (PnId(0), PnId(63));
+        // Fail one level-2 up-link: 4 of 8 paths survive.
+        let mut faults = FaultSet::new();
+        faults.fail_link(topo.up_link(2, 0, 0));
+        assert_eq!(faults.num_surviving(&topo, s, d), 4);
+        for k in [1u64, 2, 4, 6, 8] {
+            let engine = SelectionEngine::with_view(Disjoint::new(k), faults.clone());
+            assert_eq!(
+                engine.path_set(&topo, s, d).len() as u64,
+                k.min(4),
+                "budget {k}"
+            );
+        }
+    }
+
+    /// A cached engine answers every pair as a cold one does, and its
+    /// `&self` read — the [`Router`] impl — agrees with both whether the
+    /// pair is not cached yet, cached, or cached as disconnected, without
+    /// ever touching the cache or the counters.
+    #[test]
+    fn cached_engine_matches_a_cold_engine_and_its_own_shared_read() {
         let topo = fig3();
         let faults = FaultSet::sample(&topo, 0.1, 0.0, 3);
-        let fa = FaultAware::new(Disjoint::new(4), faults.clone());
+        let mut cold = SelectionEngine::with_view(Disjoint::new(4), faults.clone());
         let mut engine = SelectionEngine::cached(Disjoint::new(4), faults);
         let n = topo.num_pns();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for s in 0..n {
-            for d in 0..n {
-                if s == d {
-                    continue;
-                }
-                let (s, d) = (PnId(s), PnId(d));
-                let adapter = fa.try_fill_paths(&topo, s, d, &mut a);
-                let engine_r = engine.try_select(&topo, s, d, &mut b);
-                assert_eq!(adapter.is_err(), engine_r.is_err(), "({s:?}, {d:?})");
-                assert_eq!(a, b, "({s:?}, {d:?})");
-            }
+        let pairs: Vec<(PnId, PnId)> = (0..n)
+            .flat_map(|s| {
+                (0..n)
+                    .filter(move |&d| d != s)
+                    .map(move |d| (PnId(s), PnId(d)))
+            })
+            .collect();
+        let total = pairs.len() as u64;
+        let (mut a, mut b, mut read) = (Vec::new(), Vec::new(), Vec::new());
+        let mut disconnected = 0u64;
+        for &(s, d) in &pairs {
+            let before = (engine.stats(), engine.cache_len());
+            engine.fill_paths(&topo, s, d, &mut read);
+            assert_eq!((engine.stats(), engine.cache_len()), before);
+            let want = cold.try_select(&topo, s, d, &mut a);
+            let got = engine.try_select(&topo, s, d, &mut b);
+            assert_eq!(want, got, "({s:?}, {d:?})");
+            assert_eq!(a, b, "({s:?}, {d:?})");
+            assert_eq!(a, read, "uncached read of ({s:?}, {d:?})");
+            disconnected += u64::from(got.is_err());
         }
-        let stats = engine.stats();
-        assert_eq!(stats.hits, 0, "each pair queried once");
-        assert_eq!(stats.misses, (n as u64) * (n as u64 - 1));
+        assert!(disconnected > 0, "the sample must disconnect some pair");
+        let warm = engine.stats();
+        assert_eq!(warm.hits, 0, "each pair queried once");
+        assert_eq!(warm.misses, total);
+        assert_eq!(engine.cache_len(), pairs.len());
+        // Reading the warm cache — disconnected entries included —
+        // replays it and still changes nothing.
+        for &(s, d) in &pairs {
+            cold.fill_paths(&topo, s, d, &mut a);
+            engine.fill_paths(&topo, s, d, &mut read);
+            assert_eq!(a, read, "cached read of ({s:?}, {d:?})");
+        }
+        assert_eq!(engine.stats(), warm);
+        assert_eq!(engine.cache_len(), pairs.len());
         // A second sweep is answered entirely from the cache, identically.
-        for s in 0..n {
-            for d in 0..n {
-                if s == d {
-                    continue;
-                }
-                let (s, d) = (PnId(s), PnId(d));
-                fa.fill_paths(&topo, s, d, &mut a);
-                engine.select(&topo, s, d, &mut b);
-                assert_eq!(a, b);
-            }
+        for &(s, d) in &pairs {
+            cold.select(&topo, s, d, &mut a);
+            engine.select(&topo, s, d, &mut b);
+            assert_eq!(a, b);
         }
-        assert_eq!(engine.stats().hits, (n as u64) * (n as u64 - 1));
+        assert_eq!(engine.stats().hits, total);
         assert!(engine.stats().hit_rate() > 0.49);
     }
 
@@ -487,6 +650,17 @@ mod tests {
         assert!(out.is_empty());
         assert_eq!(engine.stats().hits, 1);
         assert_eq!(engine.stats().misses, 1);
+        // The infallible router read leaves the set empty, cached or
+        // not, and other sources are unaffected.
+        for d in [PnId(63), PnId(62)] {
+            let mut out = vec![PathId(9)];
+            engine.fill_paths(&topo, PnId(0), d, &mut out);
+            assert!(out.is_empty());
+        }
+        assert_eq!(
+            engine.try_select(&topo, PnId(1), PnId(63), &mut out),
+            Ok(false)
+        );
     }
 
     /// Property (cache coherence under churn): across a scripted

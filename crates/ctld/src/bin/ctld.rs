@@ -3,7 +3,7 @@
 //! ```text
 //! ctld --topo 8port2tree --kind disjoint:4 --state-dir /var/lib/ctld \
 //!      --socket /run/ctld.sock [--schedule poisson:RATE:REPAIR:HORIZON:SEED]
-//!      [--queue-cap N] [--reconverge-delay-ms N] [--full-certs]
+//!      [--queue-cap N] [--reconverge-delay-ms N]
 //!      [--backoff-base TICKS] [--backoff-cap TICKS]
 //!      [--standby-of /run/primary.sock [--promote-after N]]
 //! ```
@@ -36,7 +36,6 @@ struct Args {
     schedule_spec: Option<String>,
     queue_cap: usize,
     reconverge_delay_ms: u64,
-    full_certs: bool,
     backoff_base: u64,
     backoff_cap: u64,
     standby_of: Option<String>,
@@ -52,7 +51,6 @@ fn parse_args() -> Result<Args, String> {
         schedule_spec: None,
         queue_cap: 64,
         reconverge_delay_ms: 0,
-        full_certs: false,
         backoff_base: 100,
         backoff_cap: 10_000,
         standby_of: None,
@@ -81,7 +79,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad --reconverge-delay-ms: {e}"))?;
             }
-            "--full-certs" => args.full_certs = true,
             "--backoff-base" => {
                 args.backoff_base = value("--backoff-base")?
                     .parse()
@@ -182,7 +179,6 @@ fn run() -> Result<(), String> {
     };
     let mut cfg = CtlConfig::new(&args.topo, args.kind, &args.state_dir);
     cfg.schedule = schedule;
-    cfg.scoped_certs = !args.full_certs;
     cfg.reconverge_delay_ms = args.reconverge_delay_ms;
     cfg.backoff_base_ticks = args.backoff_base;
     cfg.backoff_cap_ticks = args.backoff_cap;

@@ -71,19 +71,14 @@ pub struct CtlConfig {
     pub backoff_cap_ticks: u64,
     /// Checkpoints retained on disk.
     pub retain_checkpoints: usize,
-    /// Certify each epoch on the change batch's topology-derived blast
-    /// radius (true, the default) or re-run the full analysis every
-    /// time. An empty blast radius always falls back to the full
-    /// analysis — nothing certifies on zero evidence.
-    pub scoped_certs: bool,
     /// Test hook: sleep this long inside each reconvergence, so a
     /// SIGKILL can land mid-reconvergence deterministically.
     pub reconverge_delay_ms: u64,
 }
 
 impl CtlConfig {
-    /// Defaults for a topology/scheme pair: scoped certificates,
-    /// 100-tick → 10 000-tick backoff, 8 retained checkpoints.
+    /// Defaults for a topology/scheme pair: 100-tick → 10 000-tick
+    /// backoff, 8 retained checkpoints.
     pub fn new(
         topo_name: impl Into<String>,
         kind: RouterKind,
@@ -97,7 +92,6 @@ impl CtlConfig {
             backoff_base_ticks: 100,
             backoff_cap_ticks: 10_000,
             retain_checkpoints: 8,
-            scoped_certs: true,
             reconverge_delay_ms: 0,
         }
     }
@@ -521,8 +515,10 @@ impl Controller {
     /// Semantic digest of the complete routing state at the current
     /// epoch: FNV-1a over every ordered pair's selected path ids. Two
     /// controllers with equal digests answer every query identically —
-    /// the equivalence the kill-and-resume smoke asserts.
-    pub fn digest(&mut self) -> u64 {
+    /// the equivalence the kill-and-resume smoke asserts. Read-only: it
+    /// goes through the engine's `&self` router read, so walking all
+    /// `n·(n−1)` pairs neither fills the serving cache nor books misses.
+    pub fn digest(&self) -> u64 {
         let mut h = fnv::OFFSET;
         let mut mix = |x: u64| h = fnv::update(h, &x.to_le_bytes());
         mix(self.epoch);
@@ -534,7 +530,7 @@ impl Controller {
                     continue;
                 }
                 self.engine
-                    .select(&self.topo, PnId(s), PnId(d), &mut scratch);
+                    .fill_paths(&self.topo, PnId(s), PnId(d), &mut scratch);
                 mix(((s as u64) << 32) | d as u64);
                 mix(scratch.len() as u64);
                 for p in &scratch {
@@ -559,11 +555,7 @@ impl Controller {
         // never queried), and an empty scope would certify trivially.
         // `pending` survives a failed attempt untouched, so a degraded
         // retry recomputes the identical scope.
-        let pairs = if self.cfg.scoped_certs {
-            change_blast_radius(&self.topo, &self.pending)
-        } else {
-            Vec::new()
-        };
+        let pairs = change_blast_radius(&self.topo, &self.pending);
         self.engine.apply_changes(&self.topo, &self.pending);
         if self.cfg.reconverge_delay_ms > 0 {
             std::thread::sleep(std::time::Duration::from_millis(
@@ -573,16 +565,15 @@ impl Controller {
         let candidate_view = self.engine.view().clone();
         let n = self.topo.num_pns() as u64;
         let full_pairs = n * (n - 1);
-        let scope =
-            if self.cfg.scoped_certs && !pairs.is_empty() && (pairs.len() as u64) < full_pairs {
-                EpochScope::Pairs(&pairs)
-            } else {
-                // Scoping disabled, an empty blast radius (nothing may
-                // certify on zero pairs), or a radius spanning the whole
-                // matrix (the full analysis costs the same and re-proves
-                // CDG acyclicity as well): run the full analysis.
-                EpochScope::Full
-            };
+        let scope = if !pairs.is_empty() && (pairs.len() as u64) < full_pairs {
+            EpochScope::Pairs(&pairs)
+        } else {
+            // An empty blast radius (nothing may certify on zero pairs)
+            // or one spanning the whole matrix (the full analysis costs
+            // the same and re-proves CDG acyclicity as well): run the
+            // full analysis.
+            EpochScope::Full
+        };
         self.last_cert_pairs = match scope {
             EpochScope::Pairs(p) => p.len() as u64,
             EpochScope::Full => full_pairs,
@@ -656,5 +647,44 @@ impl Controller {
         self.store.commit(&cp)?;
         self.last_commit = Some((cp, batch));
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Regression: `digest` used to walk every pair through the serving
+    /// engine's `select`, so one read-only `ctlc digest` inserted all
+    /// `n·(n−1)` selections into the cache and booked them as misses.
+    #[test]
+    fn digest_leaves_the_serving_cache_and_counters_alone() {
+        let dir = std::env::temp_dir().join(format!("ctld-digest-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = CtlConfig::new("8port2tree", RouterKind::Disjoint(4), &dir);
+        let (mut ctl, _) = Controller::start(cfg).expect("start");
+        // PN 0's only up-link: its pairs digest as cached-empty entries.
+        let cut = ctl.topo.up_link(1, 0, 0).0;
+        let batch = [ChangeSpec::LinkDown(cut), ChangeSpec::SwitchDown(2, 1)];
+        assert!(ctl.ingest(1, &batch).expect("batch 1"));
+
+        let engine_state = |ctl: &Controller| (ctl.engine.cache_len(), ctl.engine.stats());
+        let cold_state = engine_state(&ctl);
+        assert_eq!(cold_state.0, 0, "nothing queried yet");
+        let cold = ctl.digest();
+        assert_eq!(engine_state(&ctl), cold_state);
+
+        // Warm every other source's row through the serving path.
+        let n = ctl.topo.num_pns();
+        let pairs: Vec<(u32, u32)> = (0..n)
+            .step_by(2)
+            .flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (s, d)))
+            .collect();
+        ctl.paths(1, &pairs).expect("fenced at own epoch");
+        let warm_state = engine_state(&ctl);
+        assert_eq!(warm_state.0, pairs.len());
+        assert_eq!(ctl.digest(), cold, "same digest from a warm cache");
+        assert_eq!(engine_state(&ctl), warm_state);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

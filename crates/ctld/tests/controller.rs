@@ -1,10 +1,11 @@
 //! State-machine tests: epochs, certificates, degraded mode, crash
 //! recovery and kill-and-resume byte identity.
 
-use lmpr_core::RouterKind;
+use lmpr_codec::{fnv, splitmix};
+use lmpr_core::{Router, RouterKind, SelectionEngine};
 use lmpr_ctld::{ChangeSpec, Controller, CtlConfig, CtlError, Mode};
 use std::path::PathBuf;
-use xgft::FaultSchedule;
+use xgft::{FaultSchedule, FaultSet, PathId, PnId, Topology};
 
 const TOPO: &str = "8port2tree";
 
@@ -22,13 +23,17 @@ fn cleanup(cfg: &CtlConfig) {
     let _ = std::fs::remove_dir_all(&cfg.state_dir);
 }
 
+/// Every ordered pair of distinct nodes, source-major.
+fn all_pairs(n: u32) -> Vec<(u32, u32)> {
+    (0..n)
+        .flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (s, d)))
+        .collect()
+}
+
 /// The full query matrix at the current epoch — the "answers" whose
 /// byte identity the resume tests assert.
 fn all_answers(ctl: &mut Controller) -> Vec<Vec<u64>> {
-    let n = ctl.topology().num_pns();
-    let pairs: Vec<(u32, u32)> = (0..n)
-        .flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (s, d)))
-        .collect();
+    let pairs = all_pairs(ctl.topology().num_pns());
     ctl.paths(ctl.epoch(), &pairs).expect("fenced at own epoch")
 }
 
@@ -87,7 +92,6 @@ fn cold_cache_reconvergence_still_audits_the_blast_radius() {
     // the first fault (cold cache) a cache-derived scope would be empty
     // and the epoch would certify trivially on zero pairs.
     let cfg = base_cfg("coldscope");
-    assert!(cfg.scoped_certs, "scoped certificates are the default");
     let (mut ctl, _) = Controller::start(cfg.clone()).expect("start");
     assert_eq!(ctl.last_cert_pairs(), 0, "no reconvergence attempted yet");
 
@@ -99,6 +103,11 @@ fn cold_cache_reconvergence_still_audits_the_blast_radius() {
     assert!(
         cold_scope > 0,
         "a committed epoch must never be backed by an empty audit"
+    );
+    let n = u64::from(ctl.topology().num_pns());
+    assert!(
+        cold_scope < n * (n - 1),
+        "one link's blast radius is audited as a scope, not as the whole matrix"
     );
 
     // A failed certificate rebuilds the engine (cold cache again); the
@@ -279,4 +288,94 @@ fn out_of_range_pairs_are_typed_errors() {
         other => panic!("expected BadPair, got {other:?}"),
     }
     cleanup(&cfg);
+}
+
+/// One to three changes: link and switch events, down and up, recoveries
+/// preferring elements the view knows are dead.
+fn draw_batch(topo: &Topology, view: &FaultSet, rng: &mut u64) -> Vec<ChangeSpec> {
+    let below = |rng: &mut u64, n: u32| (splitmix::next(rng) % u64::from(n)) as u32;
+    let dead_links: Vec<u32> = view.failed_links().map(|l| l.0).collect();
+    (0..1 + below(rng, 3))
+        .map(|_| {
+            let level = 1 + below(rng, topo.height() as u32);
+            let rank = below(rng, topo.nodes_at_level(level as usize));
+            match below(rng, 6) {
+                0 | 1 => ChangeSpec::LinkDown(below(rng, topo.num_links())),
+                2 if !dead_links.is_empty() => {
+                    ChangeSpec::LinkUp(dead_links[below(rng, dead_links.len() as u32) as usize])
+                }
+                2 => ChangeSpec::LinkUp(below(rng, topo.num_links())),
+                3 | 4 => ChangeSpec::SwitchDown(level as u8, rank),
+                _ => match view.failed_switches() {
+                    [] => ChangeSpec::SwitchUp(level as u8, rank),
+                    dead => {
+                        let node = dead[below(rng, dead.len() as u32) as usize];
+                        ChangeSpec::SwitchUp(node.level, node.rank)
+                    }
+                },
+            }
+        })
+        .collect()
+}
+
+/// ROADMAP 6(a), in-process slice — the answers agree. "Which
+/// `min(K, X)` paths serve this pair under this fault set?" is asked of
+/// the controller's serving cache, of a cold engine over the committed
+/// view, of that engine's `&self` router read, and of a warm cached
+/// engine that lived through the same change batches; after every
+/// committed epoch all four give the same list for every ordered pair
+/// (empty for a disconnected one), and the controller's digest is the
+/// one folded from the cold engine's answers.
+#[test]
+fn controller_cold_engine_router_read_and_warm_cache_agree_every_epoch() {
+    let (_, topo) = xgft::topology_by_name(TOPO).expect("topo");
+    let pairs = all_pairs(topo.num_pns());
+    let mut kinds = vec![RouterKind::DModK, RouterKind::Umulti];
+    for k in [2u64, 3, 8] {
+        kinds.push(RouterKind::ShiftOne(k));
+        kinds.push(RouterKind::Disjoint(k));
+        kinds.push(RouterKind::RandomK(k, 7 + k));
+    }
+    let mut rng = 0x6A_5EED_u64;
+    let (mut cold_paths, mut read_paths, mut warm_paths) = (Vec::new(), Vec::new(), Vec::new());
+    let mut disconnected = 0u64;
+    for (i, &kind) in kinds.iter().enumerate() {
+        let cfg = CtlConfig::new(TOPO, kind, temp_dir(&format!("agree-{i}")));
+        let (mut ctl, _) = Controller::start(cfg.clone()).expect("start");
+        let mut warm = SelectionEngine::cached(kind, FaultSet::new());
+        for batch_id in 1..=6u64 {
+            let batch = draw_batch(&topo, warm.view(), &mut rng);
+            assert!(ctl.ingest(batch_id, &batch).expect("ingest"), "{batch:?}");
+            assert_eq!((ctl.epoch(), ctl.mode()), (batch_id, Mode::Serving));
+            let changes: Vec<_> = batch.iter().map(|c| c.to_change()).collect();
+            warm.apply_changes(&topo, &changes);
+
+            let served = all_answers(&mut ctl);
+            let mut cold = SelectionEngine::with_view(kind, warm.view().clone());
+            let mut digest = fnv::update(fnv::OFFSET, &batch_id.to_le_bytes());
+            for (&(s, d), answer) in pairs.iter().zip(&served) {
+                let at = format!("{} epoch {batch_id} ({s}, {d})", kind.name());
+                let (ps, pd) = (PnId(s), PnId(d));
+                let typed = cold.try_select(&topo, ps, pd, &mut cold_paths);
+                cold.fill_paths(&topo, ps, pd, &mut read_paths);
+                warm.select(&topo, ps, pd, &mut warm_paths);
+                assert_eq!(typed.is_err(), cold_paths.is_empty(), "{at}");
+                let ids: Vec<u64> = cold_paths.iter().map(|p: &PathId| p.0).collect();
+                assert_eq!(answer, &ids, "controller vs cold engine, {at}");
+                assert_eq!(read_paths, cold_paths, "router read vs try_select, {at}");
+                assert_eq!(warm_paths, cold_paths, "warm cache vs cold engine, {at}");
+                disconnected += u64::from(typed.is_err());
+                for x in [u64::from(s) << 32 | u64::from(d), ids.len() as u64] {
+                    digest = fnv::update(digest, &x.to_le_bytes());
+                }
+                for p in ids {
+                    digest = fnv::update(digest, &p.to_le_bytes());
+                }
+            }
+            assert_eq!(ctl.digest(), digest, "{} epoch {batch_id}", kind.name());
+        }
+        assert!(warm.stats().hits > 0 && warm.stats().invalidated > 0);
+        cleanup(&cfg);
+    }
+    assert!(disconnected > 0, "the batches must disconnect some pair");
 }

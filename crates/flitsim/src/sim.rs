@@ -241,12 +241,12 @@ impl<R: Router> FlitSim<R> {
     ///
     /// Takes the *base* router — the simulator degrades selections
     /// itself (surviving paths topped up to `min(K, X)` in canonical
-    /// order), so wrap-in-[`FaultAware`](lmpr_core::FaultAware) is
-    /// neither needed nor wanted here. With `res.retx` set, every packet
-    /// becomes an end-to-end transfer with delivery timeout,
-    /// exponential-backoff retransmission and duplicate suppression at
-    /// the sink. An empty schedule with default resilience reproduces
-    /// the fault-free simulator exactly.
+    /// order), so a [`SelectionEngine`](lmpr_core::SelectionEngine) over
+    /// a fault view is neither needed nor wanted here. With `res.retx`
+    /// set, every packet becomes an end-to-end transfer with delivery
+    /// timeout, exponential-backoff retransmission and duplicate
+    /// suppression at the sink. An empty schedule with default
+    /// resilience reproduces the fault-free simulator exactly.
     pub fn with_schedule(
         topo: &Topology,
         router: R,

@@ -4,7 +4,7 @@
 //! public API (the suite moved out of `sim.rs` when the monolith was
 //! decomposed, which is exactly what keeps it honest).
 
-use lmpr_core::{DModK, Disjoint, FaultAware};
+use lmpr_core::{DModK, Disjoint, SelectionEngine};
 use lmpr_flitsim::{
     ConfigError, FaultPolicy, FlitSim, PathPolicy, ResilienceConfig, RetxConfig, SimConfig,
     SimError, TrafficMode,
@@ -500,7 +500,7 @@ fn fault_aware_routing_counts_disconnected_messages() {
     // and the rest of the network keeps delivering.
     let mut faults = FaultSet::new();
     faults.fail_link(topo.up_link(1, 0, 0));
-    let router = FaultAware::new(DModK, faults.clone());
+    let router = SelectionEngine::with_view(DModK, faults.clone());
     let stats = FlitSim::with_faults(
         &topo,
         router,

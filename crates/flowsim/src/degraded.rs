@@ -2,10 +2,11 @@
 //!
 //! Mirrors [`LinkLoads::accumulate`](crate::LinkLoads::accumulate) but
 //! routes every flow through the shared [`SelectionEngine`]: dead paths
-//! are swapped for surviving ones, flows whose SD pair is disconnected
-//! are skipped and counted instead of dividing by an empty path set,
-//! and repeated SD pairs replay the cached selection instead of
-//! recomputing it.
+//! are swapped for surviving ones, and flows whose SD pair is
+//! disconnected are skipped and counted instead of dividing by an empty
+//! path set. The engine is uncached: every traffic generator lists each
+//! ordered pair at most once, so a per-call cache would never hit (a
+//! hand-built matrix that repeats a pair just recomputes it).
 
 use crate::LinkLoads;
 use lmpr_core::{Router, SelectionEngine};
@@ -41,7 +42,7 @@ impl DegradedLoads {
             topo.num_pns(),
             "traffic matrix and topology node counts must agree"
         );
-        let mut engine = SelectionEngine::cached(router, faults.clone());
+        let mut engine = SelectionEngine::with_view(router, faults.clone());
         let mut loads = LinkLoads::zero(topo);
         let mut routed_flows = 0u64;
         let mut disconnected_flows = 0u64;

@@ -72,11 +72,12 @@ impl Cdg {
 
     /// Build the CDG a [`Router`] induces: every selected path of every
     /// SD pair contributes its link chain. With a non-empty `faults` set
-    /// the router's selection is taken as-is (wrap it in
-    /// [`lmpr_core::FaultAware`] to model degraded re-selection) but
-    /// pairs whose selection is empty — disconnected under the wrapped
-    /// adapter's contract deviation — are skipped rather than treated as
-    /// an error: connectivity is the coverage rules' concern.
+    /// the router's selection is taken as-is (pass a
+    /// [`lmpr_core::SelectionEngine`] over the fault set to model
+    /// degraded re-selection) but pairs whose selection is empty —
+    /// disconnected under the engine's contract deviation — are skipped
+    /// rather than treated as an error: connectivity is the coverage
+    /// rules' concern.
     pub fn from_router<R: Router + ?Sized>(
         topo: &Topology,
         router: &R,
@@ -234,7 +235,7 @@ impl Cdg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lmpr_core::{DModK, Disjoint, FaultAware};
+    use lmpr_core::{DModK, Disjoint, SelectionEngine};
     use xgft::{NodeId, XgftSpec};
 
     fn fig3() -> Topology {
@@ -257,8 +258,9 @@ mod tests {
         let topo = fig3();
         let mut faults = FaultSet::new();
         faults.fail_switch(&topo, NodeId { level: 3, rank: 0 });
-        let fa = FaultAware::new(Disjoint::new(4), faults.clone());
-        let cdg = Cdg::from_router(&topo, &fa, Some(&faults));
+        let degraded = SelectionEngine::with_view(Disjoint::new(4), faults.clone());
+        let cdg = Cdg::from_router(&topo, &degraded, Some(&faults));
+        assert!(cdg.num_edges() > 0);
         assert!(cdg.find_cycle().is_none());
     }
 

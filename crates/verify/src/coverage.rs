@@ -3,7 +3,7 @@
 //! Two artifact classes are audited:
 //!
 //! * **Router selections** ([`check_router_coverage`],
-//!   [`check_fault_aware_coverage`]): every SD pair must yield exactly
+//!   [`check_degraded_coverage`]): every SD pair must yield exactly
 //!   `min(K, X)` distinct, in-range, loop-free up\*/down\* shortest
 //!   paths through the pair's NCA level — `min(K, X_surviving)` under a
 //!   fault set, with disconnection surfacing as the typed
@@ -15,9 +15,9 @@
 //!   be plain d-mod-k, and at full budget the slots must cover each
 //!   pair's path space bijectively (balanced multiplicity).
 
-use crate::{Diagnostic, Report, RuleId, Witness};
+use crate::{Diagnostic, EpochScope, Report, RuleId, Witness};
 use lmpr_core::forwarding::{shift_vectors, ForwardingTables, SlotOrder};
-use lmpr_core::{FaultAware, RouteError, Router, SelectionEngine};
+use lmpr_core::{RouteError, Router, SelectionEngine};
 use std::collections::BTreeMap;
 use xgft::{DirectedLinkId, FaultSet, LinkDir, NodeId, PathId, PnId, Topology, MAX_HEIGHT};
 
@@ -179,91 +179,67 @@ pub fn check_router_coverage<R: Router + ?Sized>(
     report.record(RuleId::CoverageUpDown, pairs, before_shape);
 }
 
-/// Audit a fault-aware adapter: per pair, exactly
-/// `min(K, X_surviving)` surviving paths, every selected path avoiding
-/// every failed link, and `RouteError::Disconnected` exactly on the
-/// pairs whose whole path space is dead.
+/// Audit the degraded selection of `router` under `faults`: per pair,
+/// exactly `min(K, X_surviving)` surviving paths, every selected path
+/// avoiding every failed link, and `RouteError::Disconnected` exactly on
+/// the pairs whose whole path space is dead.
 ///
-/// The selections under audit come from the same cached
-/// [`SelectionEngine`] the simulators route with, so a certificate here
-/// covers exactly the paths a degraded run would use.
-pub fn check_fault_aware_coverage<R: Router>(
+/// The selections under audit come from the same [`SelectionEngine`]
+/// the simulators and the controller route with, so a certificate here
+/// covers exactly the paths a degraded run would use. Every pair is
+/// asked once, so the engine is uncached.
+///
+/// `scope` is every ordered pair, or an explicit pair list — the routing
+/// controller's *incremental* per-epoch certificate mode. After a fault
+/// change batch only the pairs in the batch's topology-derived blast
+/// radius ([`crate::change_blast_radius`]: every pair whose canonical
+/// path space touches a changed element) can change their selection, so
+/// re-certifying exactly those pairs keeps reconvergence latency
+/// proportional to the damage while untouched pairs keep their standing
+/// certificate. Self-pairs in the list are skipped, duplicates are
+/// audited twice (harmless — the audit is read-only).
+pub fn check_degraded_coverage<R: Router>(
     topo: &Topology,
-    adapter: &FaultAware<R>,
+    router: R,
+    faults: &FaultSet,
     budget: Budget,
+    scope: EpochScope<'_>,
     report: &mut Report,
 ) {
-    let faults = adapter.faults().clone();
-    let mut engine = SelectionEngine::cached(adapter.inner(), faults.clone());
-    let n = topo.num_pns();
-    let mut paths = Vec::new();
-    let mut pairs = 0u64;
-    let before = report.findings.len();
-    for s in 0..n {
-        for d in 0..n {
-            if s == d {
-                continue;
-            }
-            pairs += 1;
-            audit_fault_aware_pair(
-                topo,
-                &mut engine,
-                &faults,
-                budget,
-                PnId(s),
-                PnId(d),
-                &mut paths,
-                &mut report.findings,
-            );
-        }
-    }
-    report.record(RuleId::CoverageDisconnect, pairs, before);
-}
-
-/// Audit the fault-aware selection on an explicit pair subset — the
-/// routing controller's *incremental* per-epoch certificate mode. After
-/// a fault change batch only the pairs in the batch's topology-derived
-/// blast radius ([`crate::change_blast_radius`]: every pair whose
-/// canonical path space touches a changed element) can change their
-/// selection, so re-certifying exactly those pairs keeps reconvergence
-/// latency proportional to the damage while untouched pairs keep their
-/// standing certificate. Self-pairs in `pairs` are skipped, duplicates
-/// are audited twice (harmless — the audit is read-only).
-pub fn check_fault_aware_coverage_scoped<R: Router>(
-    topo: &Topology,
-    adapter: &FaultAware<R>,
-    budget: Budget,
-    pairs: &[(PnId, PnId)],
-    report: &mut Report,
-) {
-    let faults = adapter.faults().clone();
-    let mut engine = SelectionEngine::cached(adapter.inner(), faults.clone());
+    let mut engine = SelectionEngine::with_view(router, faults.clone());
     let mut paths = Vec::new();
     let mut inspected = 0u64;
     let before = report.findings.len();
-    for &(s, d) in pairs {
+    let mut audit = |s: PnId, d: PnId| {
         if s == d {
-            continue;
+            return;
         }
         inspected += 1;
-        audit_fault_aware_pair(
+        audit_degraded_pair(
             topo,
             &mut engine,
-            &faults,
+            faults,
             budget,
             s,
             d,
             &mut paths,
             &mut report.findings,
         );
+    };
+    match scope {
+        EpochScope::Full => {
+            let n = topo.num_pns();
+            (0..n).for_each(|s| (0..n).for_each(|d| audit(PnId(s), PnId(d))));
+        }
+        EpochScope::Pairs(pairs) => pairs.iter().for_each(|&(s, d)| audit(s, d)),
     }
     report.record(RuleId::CoverageDisconnect, inspected, before);
 }
 
-/// The shared per-pair body of the fault-aware audits: cardinality,
-/// distinctness, shape, failed-link avoidance and typed disconnection.
+/// The per-pair body of the degraded audit: cardinality, distinctness,
+/// shape, failed-link avoidance and typed disconnection.
 #[allow(clippy::too_many_arguments)]
-fn audit_fault_aware_pair<R: Router>(
+fn audit_degraded_pair<R: Router>(
     topo: &Topology,
     engine: &mut SelectionEngine<R>,
     faults: &FaultSet,
@@ -644,14 +620,22 @@ mod tests {
     }
 
     #[test]
-    fn fault_aware_coverage_certifies_and_detects_disconnection() {
+    fn degraded_coverage_certifies_and_detects_disconnection() {
         let topo = fig3();
         let mut faults = FaultSet::new();
         faults.fail_link(topo.up_link(1, 0, 0)); // cuts PN 0 off entirely
-        let fa = FaultAware::new(Disjoint::new(4), faults);
         let mut report = Report::new("t", "disjoint(4)+faults");
-        check_fault_aware_coverage(&topo, &fa, Budget::Limited(4), &mut report);
+        check_degraded_coverage(
+            &topo,
+            Disjoint::new(4),
+            &faults,
+            Budget::Limited(4),
+            EpochScope::Full,
+            &mut report,
+        );
         assert!(report.certified(), "{:?}", report.findings);
+        let pairs = (topo.num_pns() as u64) * (topo.num_pns() as u64 - 1);
+        assert_eq!(report.checks[0].inspected, pairs);
     }
 
     #[test]

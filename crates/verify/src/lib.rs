@@ -45,15 +45,12 @@ mod diag;
 pub mod disjointness;
 
 pub use cdg::Cdg;
-pub use coverage::{
-    check_fault_aware_coverage, check_fault_aware_coverage_scoped, check_router_coverage,
-    check_tables, Budget,
-};
+pub use coverage::{check_degraded_coverage, check_router_coverage, check_tables, Budget};
 pub use diag::{CheckRun, Diagnostic, Report, RuleId, Severity, Witness};
 pub use disjointness::{check_disjoint_fork, check_load_bounds};
 
 use lmpr_core::forwarding::{ForwardingTables, SlotOrder};
-use lmpr_core::{Disjoint, FaultAware, Router, RouterKind};
+use lmpr_core::{Disjoint, Router, RouterKind, SelectionEngine};
 use xgft::{BlastRadius, FaultChange, FaultSet, PnId, Topology};
 
 /// Expected per-pair cardinality for a [`RouterKind`].
@@ -67,8 +64,9 @@ fn budget_of(kind: RouterKind) -> Budget {
 /// Run the full analysis for one routing scheme on one topology:
 /// deadlock freedom, K-coverage, and (scheme-permitting) disjointness
 /// and load-bound cross-checks. Pass a fault set to verify the degraded
-/// mode instead (the scheme is wrapped in [`FaultAware`], mirroring a
-/// subnet manager re-selecting around failures).
+/// mode instead (the scheme routed through a [`SelectionEngine`] over
+/// that fault set, mirroring a subnet manager re-selecting around
+/// failures): the full-scope [`certify_epoch`].
 pub fn verify_router_kind(
     topo: &Topology,
     topology_label: &str,
@@ -92,18 +90,7 @@ pub fn verify_router_kind(
             check_load_bounds(topo, &kind, budget, &mut report);
             report
         }
-        Some(f) => {
-            let fa = FaultAware::new(kind, f.clone());
-            let mut report = Report::new(topology_label, fa.name());
-            let cdg = Cdg::from_router(topo, &fa, Some(f));
-            let before = report.findings.len();
-            if let Some(diag) = cdg.deadlock_finding(topo) {
-                report.findings.push(diag);
-            }
-            report.record(RuleId::CdgCycle, cdg.num_edges(), before);
-            check_fault_aware_coverage(topo, &fa, budget, &mut report);
-            report
-        }
+        Some(f) => certify_epoch(topo, topology_label, kind, f, EpochScope::Full),
     }
 }
 
@@ -140,10 +127,11 @@ pub enum EpochScope<'a> {
 /// controller to publish the epoch; an uncertified one flips the
 /// controller into degraded mode.
 ///
-/// Full scope is exactly [`verify_router_kind`] with the fault set;
-/// scoped mode runs [`check_fault_aware_coverage_scoped`] on the blast
-/// radius and records a `CTL-CERT` check run documenting the inherited
-/// CDG certificate (inspected = number of scoped pairs).
+/// Both scopes run [`check_degraded_coverage`] on `(kind, faults)`. Full
+/// scope first proves the CDG of the degraded selections acyclic; scoped
+/// mode audits the blast radius only and records a `CTL-CERT` check run
+/// documenting the inherited CDG certificate (inspected = number of
+/// scoped pairs).
 pub fn certify_epoch(
     topo: &Topology,
     topology_label: &str,
@@ -151,18 +139,21 @@ pub fn certify_epoch(
     faults: &FaultSet,
     scope: EpochScope<'_>,
 ) -> Report {
-    match scope {
-        EpochScope::Full => verify_router_kind(topo, topology_label, kind, Some(faults)),
-        EpochScope::Pairs(pairs) => {
-            let budget = budget_of(kind);
-            let fa = FaultAware::new(kind, faults.clone());
-            let mut report = Report::new(topology_label, fa.name());
-            let before = report.findings.len();
-            check_fault_aware_coverage_scoped(topo, &fa, budget, pairs, &mut report);
-            report.record(RuleId::CtlCertificate, pairs.len() as u64, before);
-            report
+    let degraded = SelectionEngine::with_view(kind, faults.clone());
+    let mut report = Report::new(topology_label, degraded.name());
+    let before = report.findings.len();
+    if let EpochScope::Full = scope {
+        let cdg = Cdg::from_router(topo, &degraded, Some(faults));
+        if let Some(diag) = cdg.deadlock_finding(topo) {
+            report.findings.push(diag);
         }
+        report.record(RuleId::CdgCycle, cdg.num_edges(), before);
     }
+    check_degraded_coverage(topo, kind, faults, budget_of(kind), scope, &mut report);
+    if let EpochScope::Pairs(pairs) = scope {
+        report.record(RuleId::CtlCertificate, pairs.len() as u64, before);
+    }
+    report
 }
 
 /// The ordered SD pairs whose canonical up\*/down\* path space touches
@@ -301,7 +292,7 @@ mod tests {
     }
 
     #[test]
-    fn scoped_epoch_certificate_flags_a_broken_adapter() {
+    fn scoped_coverage_flags_a_broken_router() {
         // A router that silently drops paths: coverage on the scoped
         // pairs must refute the certificate.
         struct HalfBudget;
@@ -315,10 +306,16 @@ mod tests {
             }
         }
         let topo = fig3();
-        let fa = FaultAware::new(HalfBudget, FaultSet::new());
         let mut report = Report::new("fig3", "half-budget");
         let pairs = [(PnId(0), PnId(63))];
-        check_fault_aware_coverage_scoped(&topo, &fa, Budget::Limited(4), &pairs, &mut report);
+        check_degraded_coverage(
+            &topo,
+            HalfBudget,
+            &FaultSet::new(),
+            Budget::Limited(4),
+            EpochScope::Pairs(&pairs),
+            &mut report,
+        );
         assert!(!report.certified());
         assert!(report
             .findings

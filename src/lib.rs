@@ -45,8 +45,8 @@ pub use xgft as topology;
 /// One-stop imports for examples and downstream binaries.
 pub mod prelude {
     pub use lmpr_core::{
-        CachedSelection, DModK, Disjoint, DisjointStride, FaultAware, PathSet, RandomK, RouteError,
-        Router, RouterKind, SModK, SelectionEngine, SelectionStats, ShiftOne, Umulti,
+        CachedSelection, DModK, Disjoint, DisjointStride, PathSet, RandomK, RouteError, Router,
+        RouterKind, SModK, SelectionEngine, SelectionStats, ShiftOne, Umulti,
     };
     pub use lmpr_flitsim::{
         DeadlockReport, FaultPolicy, FlitSim, PathPolicy, ResilienceConfig, RetxConfig, SimConfig,
