@@ -69,6 +69,32 @@ echo "==> golden equivalence (chaos + faults quick documents, 180 s budget)"
 # invariant violations (conservation, duplicates, progress).
 timeout 180 cargo test -q --release -p lmpr-bench --test golden -- --ignored
 
+echo "==> benchmark output oracle (every workload once, on a copy, 300 s budget)"
+# The benchmark checks what it measures: flit conservation, routed +
+# disconnected = flows, one epoch per committed batch, ctld replies and
+# digests equal to a direct SelectionEngine's. Each workload runs once,
+# briefly; timings are ignored and every run must exit 0 with no failed
+# operation. It builds on a copy of the tree because building in place
+# re-resolves benchmark/Cargo.lock, which only a benchmark change may
+# rewrite.
+timeout 300 bash -c '
+  set -euo pipefail
+  dir=$(mktemp -d)
+  trap "rm -rf \"$dir\"" EXIT
+  cp -r Cargo.toml Cargo.lock BENCHMARK.json src crates "$dir"/
+  mkdir "$dir/benchmark"
+  tar -C benchmark --exclude=./target --exclude=./out -cf - . | tar -C "$dir/benchmark" -xf -
+  cd "$dir"
+  for w in $(bash benchmark/bench.sh workloads); do
+    out=$(bash benchmark/bench.sh --workload "$w" --seed 7 --seconds 1 --trace 0 \
+          2> "$dir/err") || {
+      echo "benchmark workload $w exited non-zero" >&2; cat "$dir/err" >&2; exit 1; }
+    last=$(tail -n 1 <<< "$out")
+    [[ $last == *"\"failed\": 0,"* ]] || {
+      echo "benchmark workload $w failed operations: $last" >&2; exit 1; }
+  done
+'
+
 echo "==> SIGKILL-and-resume smoke (orchestrated chaos sweep, 120 s budget)"
 # Start an orchestrated quick sweep, SIGKILL it mid-flight, re-run the
 # same command, and byte-compare the resumed document against the

@@ -130,6 +130,8 @@ impl SelectionStats {
 /// switches and manufacture hot spots exactly when the network is most
 /// stressed. Rotating by the d-mod-k index keeps replacements spread by
 /// destination, the same balancing idea the shift-1 window is built on.
+/// Survival is read off the pair's [`SurvivorSet`](xgft::SurvivorSet),
+/// built once per call, so no candidate path is walked.
 ///
 /// Returns `Ok(false)` when the selection passed through untouched (no
 /// fault affected it — always, with an empty fault set), `Ok(true)` when
@@ -149,23 +151,27 @@ fn degrade_selection(
         return Ok(false);
     }
     let budget = out.len();
-    out.retain(|&p| faults.path_survives(topo, s, d, p));
+    let alive = faults.survivors(topo, s, d);
+    out.retain(|&p| alive.contains(p));
     if out.len() == budget {
         return Ok(false); // every selected path survived
     }
     // Re-select from the surviving enumeration, preserving the
     // already-selected survivors and topping up from the pair's d-mod-k
-    // index (wrapping) so replacements stay spread across pairs.
-    let x = topo.num_paths(s, d);
-    let start = topo.dmodk_path(s, d).0;
-    for n in 0..x {
+    // index (wrapping) so replacements stay spread across pairs: each
+    // survivor is met once, in the cyclic order a scan would meet it.
+    let mut from = topo.dmodk_path(s, d);
+    for _ in 0..alive.count() {
         if out.len() == budget {
             break;
         }
-        let p = PathId((start + n) % x);
-        if !out.contains(&p) && faults.path_survives(topo, s, d, p) {
+        let Some(p) = alive.next_from(from) else {
+            break;
+        };
+        if !out.contains(&p) {
             out.push(p);
         }
+        from = PathId(p.0 + 1);
     }
     if out.is_empty() {
         return Err(RouteError::Disconnected { src: s, dst: d });

@@ -3,9 +3,11 @@
 //! sets, the degraded selection must stay inside the fault-free
 //! enumeration, avoid every failed link, keep the `min(K, X_surviving)`
 //! cardinality, and collapse to the inner heuristic bit-for-bit when
-//! the fault set is empty. And the selection cache's
-//! blast-radius-scoped flush must be indistinguishable from the
-//! exhaustive walk of every cached entry it replaced.
+//! the fault set is empty. The engine's survivor-set top-up must select
+//! byte for byte what the path-walking top-up it replaced selected. And
+//! the selection cache's blast-radius-scoped flush must be
+//! indistinguishable from the exhaustive walk of every cached entry it
+//! replaced.
 
 use lmpr_codec::splitmix::next as splitmix;
 use lmpr_core::{
@@ -85,6 +87,44 @@ fn exhaustive_flush(
         }
     }
     flushed
+}
+
+/// The degraded top-up as it was before it read survival off a
+/// `SurvivorSet`, kept verbatim as the reference: every candidate path
+/// walked link by link against the raw fault bits.
+fn walked_degrade_selection(
+    topo: &Topology,
+    s: PnId,
+    d: PnId,
+    faults: &FaultSet,
+    out: &mut Vec<PathId>,
+) -> Result<bool, RouteError> {
+    if faults.is_empty() {
+        return Ok(false);
+    }
+    let budget = out.len();
+    out.retain(|&p| faults.path_survives(topo, s, d, p));
+    if out.len() == budget {
+        return Ok(false); // every selected path survived
+    }
+    // Re-select from the surviving enumeration, preserving the
+    // already-selected survivors and topping up from the pair's d-mod-k
+    // index (wrapping) so replacements stay spread across pairs.
+    let x = topo.num_paths(s, d);
+    let start = topo.dmodk_path(s, d).0;
+    for n in 0..x {
+        if out.len() == budget {
+            break;
+        }
+        let p = PathId((start + n) % x);
+        if !out.contains(&p) && faults.path_survives(topo, s, d, p) {
+            out.push(p);
+        }
+    }
+    if out.is_empty() {
+        return Err(RouteError::Disconnected { src: s, dst: d });
+    }
+    Ok(true)
 }
 
 /// A batch of one to four changes: link and switch events, down and up,
@@ -184,6 +224,36 @@ proptest! {
                     let c = reference.try_select(&t, s, d, &mut cold);
                     prop_assert_eq!(w, c, "({:?}, {:?}) after {:?}", s, d, &changes);
                     prop_assert_eq!(&warm, &cold, "({:?}, {:?}) after {:?}", s, d, &changes);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn engine_degrades_exactly_as_the_walked_reference(
+        (t, seed, k, link_pct, switch_pct) in (arb_topo(), 0u64..=u64::MAX, 1u64..=8, 0u32..=40, 0u32..=40)
+    ) {
+        let (link, switch) = (f64::from(link_pct) / 100.0, f64::from(switch_pct) / 100.0);
+        let view = FaultSet::sample(&t, link, switch, seed);
+        let n = t.num_pns();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for kind in [
+            RouterKind::DModK,
+            RouterKind::SModK,
+            RouterKind::ShiftOne(k),
+            RouterKind::Disjoint(k),
+            RouterKind::DisjointStride(k),
+            RouterKind::RandomK(k, seed),
+            RouterKind::Umulti,
+        ] {
+            let mut engine = SelectionEngine::with_view(kind, view.clone());
+            for s in (0..n).map(PnId) {
+                for d in (0..n).map(PnId) {
+                    let result = engine.try_select(&t, s, d, &mut got);
+                    kind.fill_paths(&t, s, d, &mut want);
+                    let reference = walked_degrade_selection(&t, s, d, &view, &mut want);
+                    prop_assert_eq!(result, reference, "{} ({:?}, {:?})", kind.name(), s, d);
+                    prop_assert_eq!(&got, &want, "{} ({:?}, {:?})", kind.name(), s, d);
                 }
             }
         }

@@ -148,6 +148,9 @@ pub enum CtlError {
     },
     /// A queried processing-node id is out of range.
     BadPair(u32, u32),
+    /// A fault batch named a link or node the topology does not have;
+    /// the whole batch was refused.
+    BadChange(ChangeSpec),
 }
 
 impl fmt::Display for CtlError {
@@ -166,6 +169,15 @@ impl fmt::Display for CtlError {
                 write!(f, "fault feed gap: got batch {got}, expected {expected}")
             }
             CtlError::BadPair(s, d) => write!(f, "pair ({s}, {d}) is out of range"),
+            CtlError::BadChange(ChangeSpec::LinkDown(l) | ChangeSpec::LinkUp(l)) => {
+                write!(f, "fault batch names link {l}, which is out of range")
+            }
+            CtlError::BadChange(
+                ChangeSpec::SwitchDown(level, rank) | ChangeSpec::SwitchUp(level, rank),
+            ) => write!(
+                f,
+                "fault batch names node ({level}, {rank}), which is out of range"
+            ),
         }
     }
 }
@@ -199,6 +211,19 @@ pub struct StatusInfo {
     pub reconv_total_us: u64,
     /// The single worst latency, microseconds.
     pub reconv_max_us: u64,
+}
+
+/// Whether a wire change names a link or node of `topo`. Feed ids
+/// arrive from the socket unchecked, and an id past the topology must
+/// not reach the link arithmetic or the checkpoint.
+fn names_an_element(topo: &Topology, change: ChangeSpec) -> bool {
+    match change {
+        ChangeSpec::LinkDown(l) | ChangeSpec::LinkUp(l) => l < topo.num_links(),
+        ChangeSpec::SwitchDown(level, rank) | ChangeSpec::SwitchUp(level, rank) => {
+            let level = usize::from(level);
+            level <= topo.height() && rank < topo.nodes_at_level(level)
+        }
+    }
 }
 
 /// The routing-controller state machine. See the module docs for the
@@ -461,7 +486,10 @@ impl Controller {
 
     /// Ingest a fault-feed batch (at-least-once delivery). Returns
     /// `Ok(false)` for an already-ingested duplicate, `Ok(true)` when
-    /// the batch was staged (and a reconvergence attempted).
+    /// the batch was staged (and a reconvergence attempted). A batch
+    /// naming a link or node outside the topology is refused whole with
+    /// [`CtlError::BadChange`]: nothing is staged and the feed cursor
+    /// stays, so the corrected batch can be resent under the same id.
     pub fn ingest(&mut self, batch_id: u64, changes: &[ChangeSpec]) -> Result<bool, CtlError> {
         if batch_id <= self.highest_ingested {
             return Ok(false);
@@ -471,6 +499,9 @@ impl Controller {
                 got: batch_id,
                 expected: self.highest_ingested + 1,
             });
+        }
+        if let Some(&bad) = changes.iter().find(|&&c| !names_an_element(&self.topo, c)) {
+            return Err(CtlError::BadChange(bad));
         }
         self.pending.extend(changes.iter().map(|c| c.to_change()));
         self.highest_ingested = batch_id;
@@ -685,6 +716,37 @@ mod tests {
         assert_eq!(warm_state.0, pairs.len());
         assert_eq!(ctl.digest(), cold, "same digest from a warm cache");
         assert_eq!(engine_state(&ctl), warm_state);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Regression: a link id past the topology panicked inside the blast
+    /// radius, and a switch outside the tree committed an epoch and
+    /// landed in the checkpoint's failed-switch list.
+    #[test]
+    fn a_batch_naming_an_element_outside_the_topology_is_refused_whole() {
+        let dir = std::env::temp_dir().join(format!("ctld-badchange-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = CtlConfig::new("8port2tree", RouterKind::Disjoint(4), &dir);
+        let (mut ctl, _) = Controller::start(cfg).expect("start");
+        let links = ctl.topo.num_links();
+        for bad in [
+            ChangeSpec::LinkDown(links + 5),
+            ChangeSpec::SwitchDown(9, 7),
+        ] {
+            // The valid change beside it is not staged either.
+            match ctl.ingest(1, &[ChangeSpec::LinkDown(3), bad]) {
+                Err(CtlError::BadChange(c)) => assert_eq!(c, bad),
+                other => panic!("{bad:?} not refused: {other:?}"),
+            }
+            assert_eq!((ctl.epoch(), ctl.status().pending), (0, 0));
+            let (cp, _) = ctl.last_commit();
+            assert_eq!((cp.epoch, cp.failed_switches.len()), (0, 0));
+        }
+        // The feed cursor did not move: the corrected batch takes id 1.
+        assert!(ctl
+            .ingest(1, &[ChangeSpec::LinkDown(3)])
+            .expect("corrected"));
+        assert_eq!(ctl.epoch(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

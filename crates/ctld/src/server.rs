@@ -161,7 +161,9 @@ fn dispatch(ctl: &mut Controller, req: &Request) -> Result<Response, CtlError> {
                     batch_id: *batch_id,
                     applied,
                 }),
-                Err(e @ CtlError::FeedGap { .. }) => Ok(error_response(ctl, &e)),
+                Err(e @ (CtlError::FeedGap { .. } | CtlError::BadChange(_))) => {
+                    Ok(error_response(ctl, &e))
+                }
                 Err(e) => Err(e),
             }
         }

@@ -203,6 +203,50 @@ fn malformed_frames_get_in_band_bad_request_replies() {
 }
 
 #[test]
+fn fault_batches_naming_elements_outside_the_topology_are_bad_requests() {
+    let d = Daemon::start("badchange", |_, _| {});
+    let mut c = d.connect();
+    let fault = |changes: Vec<ChangeSpec>| Request::Fault {
+        batch_id: 1,
+        gen: None,
+        changes,
+    };
+    let (_, topo) = xgft::topology_by_name(TOPO).expect("known topology");
+    let links = topo.num_links();
+    // Two levels of switches: level 3 is outside the tree.
+    for bad in [ChangeSpec::LinkDown(links), ChangeSpec::SwitchUp(3, 0)] {
+        match roundtrip(&mut c, &fault(vec![ChangeSpec::LinkDown(2), bad])) {
+            Response::Error {
+                code: ErrorCode::BadRequest,
+                epoch: 0,
+                mode,
+                ..
+            } => assert_eq!(mode, "serving"),
+            other => panic!("{bad:?} not refused: {other:?}"),
+        }
+    }
+    // Nothing was staged or committed, and batch 1 is still expected.
+    match roundtrip(&mut c, &Request::Status) {
+        Response::Status {
+            epoch: 0,
+            pending: 0,
+            committed_batch_id: 0,
+            ..
+        } => {}
+        other => panic!("refused batch left state behind: {other:?}"),
+    }
+    match roundtrip(&mut c, &fault(vec![ChangeSpec::LinkDown(links - 1)])) {
+        Response::Fault {
+            epoch: 1,
+            applied: true,
+            ..
+        } => {}
+        other => panic!("corrected batch not applied: {other:?}"),
+    }
+    d.stop();
+}
+
+#[test]
 fn oversized_replies_are_typed_errors_not_dropped_connections() {
     let d = Daemon::start("bigreply", |_, _| {});
     let mut c = d.connect();

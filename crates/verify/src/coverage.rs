@@ -67,8 +67,13 @@ fn check_path_shape(
         return; // the walk below would assert on an out-of-range id
     }
     let kappa = topo.nca_level(s, d);
-    let mut links = Vec::with_capacity(2 * kappa);
-    topo.walk_path(s, d, p, |l| links.push(l));
+    let mut walk = [DirectedLinkId(0); 2 * MAX_HEIGHT];
+    let mut len = 0;
+    topo.walk_path(s, d, p, |l| {
+        walk[len] = l;
+        len += 1;
+    });
+    let links = &walk[..len];
     let mut ok = links.len() == 2 * kappa;
     for (i, &l) in links.iter().enumerate() {
         let (level, dir) = topo.link_level_dir(l);
@@ -198,6 +203,12 @@ pub fn check_router_coverage<R: Router + ?Sized>(
 /// proportional to the damage while untouched pairs keep their standing
 /// certificate. Self-pairs in the list are skipped, duplicates are
 /// audited twice (harmless — the audit is read-only).
+///
+/// The expected survivor count comes from [`FaultSet::survivors`] in
+/// scoped mode and from a walk of every path at full scope, so the
+/// structure the engine degrades with is itself audited by every full
+/// certificate (genesis, whole-matrix epochs, `verify --ci`) and never
+/// certifies itself.
 pub fn check_degraded_coverage<R: Router>(
     topo: &Topology,
     router: R,
@@ -210,11 +221,17 @@ pub fn check_degraded_coverage<R: Router>(
     let mut paths = Vec::new();
     let mut inspected = 0u64;
     let before = report.findings.len();
+    let full = matches!(scope, EpochScope::Full);
     let mut audit = |s: PnId, d: PnId| {
         if s == d {
             return;
         }
         inspected += 1;
+        let surviving = if full {
+            walked_survivor_count(topo, faults, s, d)
+        } else {
+            faults.survivors(topo, s, d).count()
+        };
         audit_degraded_pair(
             topo,
             &mut engine,
@@ -222,6 +239,7 @@ pub fn check_degraded_coverage<R: Router>(
             budget,
             s,
             d,
+            surviving,
             &mut paths,
             &mut report.findings,
         );
@@ -236,8 +254,18 @@ pub fn check_degraded_coverage<R: Router>(
     report.record(RuleId::CoverageDisconnect, inspected, before);
 }
 
-/// The per-pair body of the degraded audit: cardinality, distinctness,
-/// shape, failed-link avoidance and typed disconnection.
+/// The full-scope reference count of a pair's surviving paths: every
+/// canonical path walked link by link against the raw fault bits. It
+/// shares no code with [`FaultSet::survivors`], which is what lets a
+/// full certificate refute that structure.
+fn walked_survivor_count(topo: &Topology, faults: &FaultSet, s: PnId, d: PnId) -> u64 {
+    let alive = |&p: &PathId| faults.path_survives(topo, s, d, p);
+    topo.all_paths(s, d).filter(alive).count() as u64
+}
+
+/// The per-pair body of the degraded audit: cardinality against the
+/// pair's `surviving` count, distinctness, shape, failed-link avoidance
+/// and typed disconnection.
 #[allow(clippy::too_many_arguments)]
 fn audit_degraded_pair<R: Router>(
     topo: &Topology,
@@ -246,10 +274,10 @@ fn audit_degraded_pair<R: Router>(
     budget: Budget,
     s: PnId,
     d: PnId,
+    surviving: u64,
     paths: &mut Vec<PathId>,
     findings: &mut Vec<Diagnostic>,
 ) {
-    let surviving = faults.num_surviving(topo, s, d);
     match engine.try_select(topo, s, d, paths) {
         Ok(_) => {
             if surviving == 0 {

@@ -323,6 +323,96 @@ mod tests {
             .any(|d| d.rule == RuleId::CoverageCount));
     }
 
+    /// Every ordered pair, self-pairs included (both scopes skip them).
+    fn every_pair(topo: &Topology) -> Vec<(PnId, PnId)> {
+        let n = topo.num_pns();
+        (0..n)
+            .flat_map(|s| (0..n).map(move |d| (PnId(s), PnId(d))))
+            .collect()
+    }
+
+    /// The `COV-*` findings and check runs of a report.
+    fn coverage_part(report: &Report) -> (Vec<Diagnostic>, Vec<CheckRun>) {
+        let cov = |rule: RuleId| rule.as_str().starts_with("COV-");
+        let findings = report.findings.iter().filter(|f| cov(f.rule));
+        let checks = report.checks.iter().filter(|c| cov(c.rule));
+        (findings.cloned().collect(), checks.cloned().collect())
+    }
+
+    /// A scoped certificate counts a pair's survivors off the survivor
+    /// structure, a full one by walking every path. Over the whole pair
+    /// matrix the two must agree on every coverage finding and count.
+    #[test]
+    fn a_scope_of_every_pair_certifies_as_the_full_scope_does() {
+        let specs = [
+            XgftSpec::new(&[4, 4, 4], &[1, 2, 4]).expect("fig3"),
+            XgftSpec::new(&[3, 2, 2], &[2, 2, 3]).expect("asymmetric"),
+            XgftSpec::new(&[2, 3, 2], &[2, 1, 3]).expect("asymmetric, w_2 = 1"),
+        ];
+        for spec in specs {
+            let topo = Topology::new(spec);
+            let pairs = every_pair(&topo);
+            let mut switch_down = FaultSet::new();
+            switch_down.fail_switch(&topo, NodeId { level: 2, rank: 1 });
+            for faults in [
+                FaultSet::sample(&topo, 0.05, 0.0, 3),
+                FaultSet::sample(&topo, 0.2, 0.1, 5),
+                switch_down,
+            ] {
+                for kind in [
+                    RouterKind::DModK,
+                    RouterKind::ShiftOne(3),
+                    RouterKind::Disjoint(4),
+                    RouterKind::RandomK(2, 7),
+                    RouterKind::Umulti,
+                ] {
+                    let full = certify_epoch(&topo, "t", kind, &faults, EpochScope::Full);
+                    let scoped =
+                        certify_epoch(&topo, "t", kind, &faults, EpochScope::Pairs(&pairs));
+                    assert_eq!(coverage_part(&full), coverage_part(&scoped), "{kind:?}");
+                    assert!(full.certified(), "{kind:?}: {:?}", full.findings);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dropping_a_surviving_path_is_refuted_in_both_scopes() {
+        struct DropsOne;
+        impl Router for DropsOne {
+            fn fill_paths(&self, topo: &Topology, s: PnId, d: PnId, out: &mut Vec<xgft::PathId>) {
+                RouterKind::Disjoint(4).fill_paths(topo, s, d, out);
+                if out.len() > 1 {
+                    out.pop();
+                }
+            }
+            fn name(&self) -> String {
+                "drops-one".to_owned()
+            }
+        }
+        let topo = fig3();
+        let faults = FaultSet::sample(&topo, 0.05, 0.0, 3);
+        let pairs = every_pair(&topo);
+        let mut reports = Vec::new();
+        for scope in [EpochScope::Full, EpochScope::Pairs(&pairs)] {
+            let mut report = Report::new("fig3", "drops-one");
+            check_degraded_coverage(
+                &topo,
+                DropsOne,
+                &faults,
+                Budget::Limited(4),
+                scope,
+                &mut report,
+            );
+            assert!(report
+                .findings
+                .iter()
+                .any(|d| d.rule == RuleId::CoverageCount));
+            reports.push(coverage_part(&report));
+        }
+        assert_eq!(reports[0], reports[1]);
+    }
+
     /// The ground truth `change_blast_radius` must reproduce: a pair is
     /// affected iff some canonical path crosses a changed element.
     fn brute_blast_radius(topo: &Topology, changes: &[FaultChange]) -> Vec<(PnId, PnId)> {

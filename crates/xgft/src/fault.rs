@@ -4,7 +4,8 @@
 //! Whole-switch failures are expressed through their incident links (a
 //! dead switch can neither receive nor forward), so every survivability
 //! question reduces to "does this path avoid every failed link" — which
-//! [`Topology::walk_path`] answers without allocating.
+//! [`Topology::walk_path`] answers for one path without allocating, and
+//! [`FaultSet::survivors`] answers for a whole pair without walking any.
 //!
 //! The set is independent of any particular topology object: it stores a
 //! growable bitmap over link ids plus the list of failed switches, so
@@ -13,6 +14,163 @@
 
 use crate::{DirectedLinkId, NodeId, PathId, PnId, Topology};
 use lmpr_codec::splitmix;
+
+/// Dead blocks a [`SurvivorSet`] holds before it moves them to the heap.
+const INLINE_BLOCKS: usize = 8;
+
+/// The surviving shortest paths of one SD pair under a [`FaultSet`],
+/// built by [`FaultSet::survivors`] from the failed links in the pair's
+/// two cones, without walking a path.
+///
+/// The canonical enumeration numbers a path by its up-port choices
+/// `(u_1 … u_κ)`, `u_1` most significant, and the link a path takes at
+/// level `l` — climbing or descending — is fixed by the prefix
+/// `(u_1 … u_l)`. A failed link at level `l` therefore kills exactly the
+/// aligned block of `X / w_prod(l)` consecutive ids that share its
+/// prefix, and any two such blocks are nested or disjoint. The set keeps
+/// the maximal dead blocks, sorted and with touching neighbours merged,
+/// so every query is a binary search over them.
+#[derive(Debug, Clone)]
+pub struct SurvivorSet {
+    /// `X`, the size of the pair's path space.
+    paths: u64,
+    /// Ids inside dead blocks.
+    dead: u64,
+    blocks: Blocks,
+}
+
+/// Disjoint dead `[start, end)` id ranges, inline until they outgrow
+/// [`INLINE_BLOCKS`].
+#[derive(Debug, Clone)]
+enum Blocks {
+    Inline(usize, [(u64, u64); INLINE_BLOCKS]),
+    Heap(Vec<(u64, u64)>),
+}
+
+impl Blocks {
+    fn as_slice(&self) -> &[(u64, u64)] {
+        match self {
+            Blocks::Inline(len, buf) => &buf[..*len],
+            Blocks::Heap(v) => v,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [(u64, u64)] {
+        match self {
+            Blocks::Inline(len, buf) => &mut buf[..*len],
+            Blocks::Heap(v) => v,
+        }
+    }
+
+    fn push(&mut self, block: (u64, u64)) {
+        match self {
+            Blocks::Inline(len, buf) if *len < INLINE_BLOCKS => {
+                buf[*len] = block;
+                *len += 1;
+            }
+            Blocks::Inline(_, buf) => {
+                let mut v = buf.to_vec();
+                v.push(block);
+                *self = Blocks::Heap(v);
+            }
+            Blocks::Heap(v) => v.push(block),
+        }
+    }
+
+    /// Sort the blocks and merge the ones that touch.
+    fn seal(&mut self) {
+        let blocks = self.as_mut_slice();
+        blocks.sort_unstable();
+        let mut kept = 0;
+        for i in 0..blocks.len() {
+            let (lo, hi) = blocks[i];
+            if kept > 0 && blocks[kept - 1].1 == lo {
+                blocks[kept - 1].1 = hi;
+            } else {
+                blocks[kept] = (lo, hi);
+                kept += 1;
+            }
+        }
+        match self {
+            Blocks::Inline(len, _) => *len = kept,
+            Blocks::Heap(v) => v.truncate(kept),
+        }
+    }
+}
+
+impl SurvivorSet {
+    /// Number of surviving paths.
+    pub fn count(&self) -> u64 {
+        self.paths - self.dead
+    }
+
+    /// Whether path `p` of the pair survives. Ids outside the pair's
+    /// path space do not.
+    pub fn contains(&self, p: PathId) -> bool {
+        p.0 < self.paths && self.dead_block_at(p.0).is_none()
+    }
+
+    /// The first surviving id at or after `p`, wrapping past the end of
+    /// the enumeration (an id at or past `X` starts over from 0); `None`
+    /// when nothing survives.
+    pub fn next_from(&self, p: PathId) -> Option<PathId> {
+        if self.count() == 0 {
+            return None;
+        }
+        let mut id = if p.0 < self.paths { p.0 } else { 0 };
+        // Merged blocks never touch, so the end of a block survives
+        // unless it is the end of the enumeration: at most one wrap.
+        while let Some((_, end)) = self.dead_block_at(id) {
+            id = if end < self.paths { end } else { 0 };
+        }
+        Some(PathId(id))
+    }
+
+    /// The surviving ids in canonical order.
+    pub fn iter(&self) -> impl Iterator<Item = PathId> + '_ {
+        let mut from = 0;
+        let end = std::iter::once((self.paths, self.paths));
+        self.blocks
+            .as_slice()
+            .iter()
+            .copied()
+            .chain(end)
+            .flat_map(move |(lo, hi)| {
+                let gap = from..lo;
+                from = hi;
+                gap
+            })
+            .map(PathId)
+    }
+
+    /// The dead block holding `id`, if any.
+    fn dead_block_at(&self, id: u64) -> Option<(u64, u64)> {
+        let blocks = self.blocks.as_slice();
+        let after = blocks.partition_point(|&(lo, _)| lo <= id);
+        let block = *blocks.get(after.checked_sub(1)?)?;
+        (id < block.1).then_some(block)
+    }
+
+    /// Kill the block of `size` ids whose level-`level` prefix has the
+    /// port choices `ports = Σ_{i≤level} u_i·w_prod(i−1)` (`u_1` least
+    /// significant, as link ids order them). Blocks arrive level by
+    /// level, widest first, so a block already holding this one's first
+    /// id holds all of it, and otherwise the two are disjoint.
+    fn kill(&mut self, topo: &Topology, level: usize, mut ports: u64, size: u64) {
+        let mut prefix = 0;
+        for i in 1..=level {
+            let w = u64::from(topo.spec().w_at(i));
+            prefix = prefix * w + ports % w;
+            ports /= w;
+        }
+        let start = prefix * size;
+        let held = |&(lo, hi): &(u64, u64)| lo <= start && start < hi;
+        if !self.blocks.as_slice().iter().any(held) {
+            self.blocks.push((start, start + size));
+            self.dead += size;
+        }
+    }
+}
 
 /// A set of failed directed links and failed switches.
 ///
@@ -178,27 +336,88 @@ impl FaultSet {
         alive
     }
 
+    /// The surviving shortest paths of the pair, from the failed links
+    /// in its two cones alone. At each level `l ≤ κ` the source's climb
+    /// can take only the `w_prod(l)` up-links of one contiguous id run,
+    /// and the descent to `d` only `w_prod(l)` down-links of another
+    /// (every `m_l`-th id); each failed link found there decodes to the
+    /// port prefix that kills its block of ids. Cost is a bitmap scan of
+    /// the two runs per level plus O(κ) per failed link found; nothing
+    /// is allocated unless more than eight maximal dead blocks remain.
+    pub fn survivors(&self, topo: &Topology, s: PnId, d: PnId) -> SurvivorSet {
+        let kappa = topo.nca_level(s, d);
+        let paths = topo.w_prod(kappa);
+        let mut set = SurvivorSet {
+            paths,
+            dead: 0,
+            blocks: Blocks::Inline(0, [(0, 0); INLINE_BLOCKS]),
+        };
+        if self.num_failed_links == 0 {
+            return set;
+        }
+        for l in 1..=kappa {
+            let span = topo.w_prod(l);
+            let size = paths / span;
+            let w = u64::from(topo.spec().w_at(l));
+            let m = u64::from(topo.spec().m_at(l));
+            let below = topo.w_prod(l - 1);
+            self.for_each_failed_in(topo.up_cone_start(l, s), span, |at| {
+                set.kill(topo, l, at / w + at % w * below, size);
+            });
+            let child = u64::from(topo.pn_digit(d, l));
+            self.for_each_failed_in(topo.down_cone_start(l, d), span * m, |at| {
+                if at % m == child {
+                    set.kill(topo, l, at / m, size);
+                }
+            });
+        }
+        set.blocks.seal();
+        set
+    }
+
+    /// Call `f` with the offset from `start` of every failed link id in
+    /// `[start, start + len)`, in ascending order, a bitmap word at a
+    /// time.
+    fn for_each_failed_in(&self, start: u64, len: u64, mut f: impl FnMut(u64)) {
+        let end = start + len;
+        let first = start / 64;
+        let words = self
+            .failed
+            .iter()
+            .skip(usize::try_from(first).unwrap_or(usize::MAX));
+        for (base, &word) in (first..).map(|w| w * 64).zip(words) {
+            if base >= end {
+                break;
+            }
+            let mut bits = word;
+            if base < start {
+                bits &= u64::MAX << (start - base);
+            }
+            if end - base < 64 {
+                bits &= u64::MAX >> (64 - (end - base));
+            }
+            while bits != 0 {
+                f(base + u64::from(bits.trailing_zeros()) - start);
+                bits &= bits - 1;
+            }
+        }
+    }
+
     /// Append the surviving path ids of the pair to `out` (cleared
     /// first), in canonical enumeration order.
     pub fn fill_surviving(&self, topo: &Topology, s: PnId, d: PnId, out: &mut Vec<PathId>) {
         out.clear();
-        out.extend(
-            topo.all_paths(s, d)
-                .filter(|&p| self.path_survives(topo, s, d, p)),
-        );
+        out.extend(self.survivors(topo, s, d).iter());
     }
 
     /// Number of surviving shortest paths of the pair.
     pub fn num_surviving(&self, topo: &Topology, s: PnId, d: PnId) -> u64 {
-        topo.all_paths(s, d)
-            .filter(|&p| self.path_survives(topo, s, d, p))
-            .count() as u64
+        self.survivors(topo, s, d).count()
     }
 
     /// Whether at least one shortest path of the pair survives.
     pub fn connected(&self, topo: &Topology, s: PnId, d: PnId) -> bool {
-        topo.all_paths(s, d)
-            .any(|p| self.path_survives(topo, s, d, p))
+        self.survivors(topo, s, d).count() > 0
     }
 }
 

@@ -65,7 +65,7 @@ mod topology;
 
 pub use blast::BlastRadius;
 pub use error::SpecError;
-pub use fault::FaultSet;
+pub use fault::{FaultSet, SurvivorSet};
 pub use ids::{DirectedLinkId, LinkDir, NodeId, PathId, PnId};
 pub use paths::PathWalk;
 pub use schedule::{FaultChange, FaultEvent, FaultSchedule};

@@ -3,7 +3,7 @@
 //! parameter sets, not just the paper's topologies.
 
 use proptest::prelude::*;
-use xgft::{DirectedLinkId, NodeId, PathId, PnId, Topology, XgftSpec, MAX_HEIGHT};
+use xgft::{DirectedLinkId, FaultSet, NodeId, PathId, PnId, Topology, XgftSpec, MAX_HEIGHT};
 
 /// Small random specs: heights 1..=4, arities 1..=5 — large enough to
 /// hit every code path (w_1 = 1 and w_1 > 1, asymmetric levels) while
@@ -21,6 +21,31 @@ fn arb_spec() -> impl Strategy<Value = XgftSpec> {
 
 fn arb_topo() -> impl Strategy<Value = Topology> {
     arb_spec().prop_map(Topology::new)
+}
+
+/// Specs small enough to walk every path of every ordered pair in one
+/// case: heights 1..=4, arities 1..=3, `m` and `w` drawn independently.
+fn arb_small_topo() -> impl Strategy<Value = Topology> {
+    (1usize..=4)
+        .prop_flat_map(|h| {
+            (
+                prop::collection::vec(1u32..=3, h),
+                prop::collection::vec(1u32..=3, h),
+            )
+        })
+        .prop_map(|(m, w)| Topology::new(XgftSpec::new(&m, &w).expect("valid spec")))
+}
+
+/// A topology with a sampled fault set: links and switches each fail
+/// at 0–40 %, so some pairs keep every path, some a few, some none.
+fn topo_and_faults() -> impl Strategy<Value = (Topology, FaultSet)> {
+    (arb_small_topo(), 0u32..=40, 0u32..=40, 0u64..=u64::MAX).prop_map(
+        |(t, link_pct, switch_pct, seed)| {
+            let (link, switch) = (f64::from(link_pct) / 100.0, f64::from(switch_pct) / 100.0);
+            let faults = FaultSet::sample(&t, link, switch, seed);
+            (t, faults)
+        },
+    )
 }
 
 /// A topology together with a random SD pair.
@@ -221,6 +246,44 @@ proptest! {
                 } else {
                     prop_assert!(shares, "paths with the same first hop share at least that link");
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `FaultSet::survivors` reads a pair's survivors off the failed
+    /// links in its cones; the exhaustive walk it replaced — every
+    /// canonical path, link by link, against the raw fault bits — is
+    /// kept here as the reference, over every ordered pair.
+    #[test]
+    fn survivors_equal_the_exhaustive_walk((t, faults) in topo_and_faults()) {
+        let n = t.num_pns();
+        let mut filled = Vec::new();
+        for s in (0..n).map(PnId) {
+            for d in (0..n).map(PnId) {
+                let set = faults.survivors(&t, s, d);
+                let x = t.num_paths(s, d);
+                let alive: Vec<bool> = t
+                    .all_paths(s, d)
+                    .map(|p| faults.path_survives(&t, s, d, p))
+                    .collect();
+                let walked: Vec<PathId> = t.all_paths(s, d).filter(|p| alive[p.0 as usize]).collect();
+                prop_assert_eq!(set.count(), walked.len() as u64, "count of ({:?}, {:?})", s, d);
+                for p in t.all_paths(s, d) {
+                    prop_assert_eq!(set.contains(p), alive[p.0 as usize], "({:?}, {:?}) {:?}", s, d, p);
+                    let scan = (0..x).map(|k| PathId((p.0 + k) % x)).find(|q| alive[q.0 as usize]);
+                    prop_assert_eq!(set.next_from(p), scan, "({:?}, {:?}) from {:?}", s, d, p);
+                }
+                prop_assert!(!set.contains(PathId(x)), "ids past X never survive");
+                prop_assert_eq!(set.next_from(PathId(x)), walked.first().copied(), "wraps to 0");
+                prop_assert_eq!(set.iter().collect::<Vec<_>>(), walked.clone());
+                faults.fill_surviving(&t, s, d, &mut filled);
+                prop_assert_eq!(&filled, &walked, "canonical order of ({:?}, {:?})", s, d);
+                prop_assert_eq!(faults.num_surviving(&t, s, d), set.count());
+                prop_assert_eq!(faults.connected(&t, s, d), set.count() > 0);
             }
         }
     }
