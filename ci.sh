@@ -15,7 +15,7 @@ echo "==> crate graph and one-definition gate"
 # the flit simulator to do so. And the byte-level primitives every
 # golden, checkpoint and wire reply rests on — FNV-1a, SplitMix64, the
 # JSON string escaper — are each written once, in crates/codec (the
-# vendored rand/proptest/criterion stand-ins keep their own).
+# test-only proptest stand-in keeps its own).
 if cargo tree -p lmpr-ctld -e normal --offline | grep -E "lmpr-(bench|flitsim) "; then
   echo "lmpr-ctld must not depend on lmpr-bench or lmpr-flitsim" >&2
   exit 1
@@ -23,7 +23,7 @@ fi
 if grep -rniE --include="*.rs" \
      "0100_?0000_?01b3|bf58_?476d_?1ce4_?e5b9|7f4a_?7c15|fn json_string" \
      crates src tests examples |
-   grep -vE "^crates/(codec|rand|proptest|criterion)/"; then
+   grep -vE "^crates/(codec|proptest)/"; then
   echo "FNV-1a / SplitMix64 / json_string redefined outside crates/codec" >&2
   exit 1
 fi
@@ -34,6 +34,15 @@ fi
 if grep -rnE --include="*.rs" "FaultAware|scoped_certs|full-certs" \
      crates src tests examples; then
   echo "FaultAware / scoped_certs / --full-certs are retired" >&2
+  exit 1
+fi
+# One PRNG and one perf harness: the xoshiro256++ stream lives in
+# crates/codec and benchmark/ is the only timing harness, so the
+# vendored rand and criterion stand-ins and perf_baseline stay retired.
+if grep -rnE --include="*.rs" "rand::|SmallRng|criterion|perf_baseline" \
+     crates src tests examples ||
+   cargo tree --workspace -e all --offline | grep -E " (rand|criterion) v"; then
+  echo "rand / SmallRng / criterion / perf_baseline are retired" >&2
   exit 1
 fi
 if grep -rn --include="*.rs" "fn degrade_selection" crates src tests examples |

@@ -13,14 +13,13 @@
 //! snapshot surface: dynamic fault schedule, lagged routing view,
 //! retransmission ledger, per-source RNG streams.
 
+use lmpr_codec::xoshiro::Xoshiro256pp;
 use lmpr_core::ShiftOne;
 use lmpr_flitsim::{
     FaultPolicy, FlitSim, ResilienceConfig, RetxConfig, SimConfig, SnapshotError, TrafficMode,
     SNAPSHOT_VERSION,
 };
 use lmpr_verify::{Diagnostic, Report, RuleId, Witness};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use xgft::{FaultChange, FaultEvent, FaultSchedule, Topology, XgftSpec};
 
 const LABEL: &str = "XGFT(2; 4,4; 1,4)";
@@ -199,11 +198,11 @@ fn reject_report(topo: &Topology) -> Report {
         &mut report,
     );
 
-    let mut rng = SmallRng::seed_from_u64(0x534E_4150); // "SNAP"
+    let mut rng = Xoshiro256pp::seed_from_u64(0x534E_4150); // "SNAP"
     for _ in 0..16 {
         let mut bad = good.clone();
-        let i = rng.gen_range(28..bad.len() as u64) as usize;
-        bad[i] ^= 1 << rng.gen_range(0u8..8);
+        let i = 28 + rng.index(bad.len() - 28);
+        bad[i] ^= 1 << rng.below(8);
         expect(
             "payload bit flip",
             restore(&bad),

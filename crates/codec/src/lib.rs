@@ -10,6 +10,8 @@
 //!   and payload bound; the header checks are written once.
 //! * [`fnv`] — FNV-1a-64, one-shot and incremental.
 //! * [`splitmix`] — the SplitMix64 finaliser and stream step.
+//! * [`xoshiro`] — the xoshiro256++ generator behind every full random
+//!   stream (path samples, permutations, flit arrivals).
 //!
 //! The crate has no dependencies and never panics on input: it parses
 //! untrusted socket bytes for `lmpr-ctld`.
@@ -20,3 +22,4 @@ pub mod envelope;
 pub mod fnv;
 pub mod json;
 pub mod splitmix;
+pub mod xoshiro;

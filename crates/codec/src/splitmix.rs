@@ -1,7 +1,7 @@
 //! SplitMix64 (Steele, Lea & Flood 2014): the seeded mixer behind
-//! every replayable draw that is not a full `rand` stream — fault
-//! samples, failpoint decisions, per-pair and per-sample seeds, retry
-//! jitter.
+//! every replayable draw that is not a full [`xoshiro`](crate::xoshiro)
+//! stream — fault samples, failpoint decisions, per-pair and per-sample
+//! seeds, retry jitter — and the seed expander of that stream.
 
 /// The golden-ratio increment γ = ⌊2⁶⁴/φ⌋ (odd, so adding it walks the
 /// full period). Also the multiplier of a Fibonacci hash.

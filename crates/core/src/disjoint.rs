@@ -93,8 +93,8 @@ impl Router for Disjoint {
 /// When `K` divides `X` the selected ids are evenly spaced over the path
 /// space, which matches the alternative reading of the paper's garbled
 /// worked example (paths 7, 1, 3, 5 for `K = 4`). On symmetric XGFTs the
-/// two variants are statistically equivalent; the ablation bench
-/// (`benches/ablation.rs`) quantifies this.
+/// two variants are statistically equivalent; ablation A1
+/// (`fig4 -- b ablation`) quantifies this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DisjointStride {
     k: u64,

@@ -2,8 +2,7 @@
 
 use crate::Router;
 use lmpr_codec::splitmix;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use lmpr_codec::xoshiro::Xoshiro256pp;
 use xgft::{PathId, PnId, Topology};
 
 /// Random heuristic (§4.2.1): pick `min(K, X)` *distinct* paths
@@ -67,11 +66,11 @@ impl Router for RandomK {
             out.extend((0..x).map(PathId));
             return;
         }
-        let mut rng = SmallRng::seed_from_u64(self.pair_seed(s, d));
+        let mut rng = Xoshiro256pp::seed_from_u64(self.pair_seed(s, d));
         // Floyd's algorithm: uniform sample of `take` distinct values
         // from 0..x in O(take) expected work.
         for j in (x - take)..x {
-            let t = rng.gen_range(0..=j);
+            let t = rng.below(j + 1);
             let candidate = PathId(t);
             if out.contains(&candidate) {
                 out.push(PathId(j));

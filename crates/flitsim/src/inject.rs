@@ -2,8 +2,7 @@
 
 use crate::config::PathPolicy;
 use crate::traffic_mode::TrafficMode;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use lmpr_codec::xoshiro::Xoshiro256pp;
 use std::collections::VecDeque;
 
 /// A packet queued at its source, streaming flit by flit into the
@@ -25,7 +24,7 @@ pub struct StreamingPacket {
 /// (open-loop injection).
 #[derive(Debug, Clone)]
 pub struct Source {
-    rng: SmallRng,
+    rng: Xoshiro256pp,
     /// Absolute time (in cycles, fractional) of the next message
     /// arrival.
     next_arrival: f64,
@@ -38,7 +37,7 @@ pub struct Source {
 impl Source {
     /// Create a source with its own decorrelated RNG stream.
     pub fn new(seed: u64, pn: u32, ports: u32, rate: f64) -> Self {
-        let mut rng = SmallRng::seed_from_u64(seed ^ (0xA5A5_0000_0000_0000 | pn as u64));
+        let mut rng = Xoshiro256pp::seed_from_u64(seed ^ (0xA5A5_0000_0000_0000 | pn as u64));
         let first = exp_sample(&mut rng, rate);
         Source {
             rng,
@@ -56,18 +55,6 @@ impl Source {
             true
         } else {
             false
-        }
-    }
-
-    /// A uniformly random destination other than `self_pn`.
-    #[cfg(test)]
-    pub fn pick_destination(&mut self, self_pn: u32, num_pns: u32) -> u32 {
-        debug_assert!(num_pns >= 2);
-        let d = self.rng.gen_range(0..num_pns - 1);
-        if d >= self_pn {
-            d + 1
-        } else {
-            d
         }
     }
 
@@ -92,7 +79,7 @@ impl Source {
         per_message_choice: usize,
     ) -> usize {
         match policy {
-            PathPolicy::PerPacketRandom => self.rng.gen_range(0..len),
+            PathPolicy::PerPacketRandom => self.rng.index(len),
             PathPolicy::PerMessageRandom => per_message_choice,
             PathPolicy::RoundRobin => {
                 let i = (self.rr % len as u64) as usize;
@@ -104,7 +91,7 @@ impl Source {
 
     /// Draw the message-granularity path choice.
     pub fn pick_message_path(&mut self, len: usize) -> usize {
-        self.rng.gen_range(0..len)
+        self.rng.index(len)
     }
 
     /// Total packets waiting across all port queues (for saturation
@@ -117,7 +104,7 @@ impl Source {
     /// absolute next-arrival time, and the round-robin counter (the
     /// queues are public and serialized separately).
     pub fn snapshot_parts(&self) -> ([u64; 4], f64, u64) {
-        (self.rng.get_state(), self.next_arrival, self.rr)
+        (self.rng.state(), self.next_arrival, self.rr)
     }
 
     /// Rebuild a source from snapshot parts, resuming its RNG stream at
@@ -129,7 +116,7 @@ impl Source {
         rr: u64,
     ) -> Self {
         Source {
-            rng: SmallRng::from_state(rng_state),
+            rng: Xoshiro256pp::from_state(rng_state),
             next_arrival,
             queues,
             rr,
@@ -138,10 +125,10 @@ impl Source {
 }
 
 /// Exponential inter-arrival sample with rate `rate` events/cycle.
-fn exp_sample(rng: &mut SmallRng, rate: f64) -> f64 {
+fn exp_sample(rng: &mut Xoshiro256pp, rate: f64) -> f64 {
     debug_assert!(rate > 0.0);
     // Map (0, 1]: avoid ln(0).
-    let u: f64 = 1.0 - rng.gen::<f64>();
+    let u = 1.0 - rng.unit_f64();
     -u.ln() / rate
 }
 
@@ -164,19 +151,6 @@ mod tests {
             (f64::from(events) - expected).abs() < 0.1 * expected,
             "events {events} vs expected {expected}"
         );
-    }
-
-    #[test]
-    fn destinations_cover_everyone_but_self() {
-        let mut src = Source::new(7, 3, 1, 0.5);
-        let mut seen = [false; 8];
-        for _ in 0..500 {
-            let d = src.pick_destination(3, 8);
-            assert_ne!(d, 3);
-            assert!(d < 8);
-            seen[d as usize] = true;
-        }
-        assert_eq!(seen.iter().filter(|&&b| b).count(), 7);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! injection bandwidth at the flit level).
 
 use crate::error::TrafficError;
-use rand::rngs::SmallRng;
-use rand::Rng;
+use crate::util::{ix, small_u32};
+use lmpr_codec::xoshiro::Xoshiro256pp;
 
 /// How sources pick message destinations.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,7 +73,7 @@ impl TrafficMode {
 
     /// Destination for the next message from `src`, or `None` when this
     /// source does not send (self-mapped permutation entry).
-    pub fn pick(&self, src: u32, n: u32, rng: &mut SmallRng) -> Option<u32> {
+    pub fn pick(&self, src: u32, n: u32, rng: &mut Xoshiro256pp) -> Option<u32> {
         match self {
             TrafficMode::Uniform => Some(uniform_other(src, n, rng)),
             TrafficMode::Permutation(p) => {
@@ -81,8 +81,8 @@ impl TrafficMode {
                 (d != src).then_some(d)
             }
             TrafficMode::Hotspot { hot, fraction } => {
-                if rng.gen::<f64>() < *fraction {
-                    let h = hot[rng.gen_range(0..hot.len())];
+                if rng.unit_f64() < *fraction {
+                    let h = hot[rng.index(hot.len())];
                     if h != src {
                         return Some(h);
                     }
@@ -93,8 +93,8 @@ impl TrafficMode {
     }
 }
 
-fn uniform_other(src: u32, n: u32, rng: &mut SmallRng) -> u32 {
-    let d = rng.gen_range(0..n - 1);
+fn uniform_other(src: u32, n: u32, rng: &mut Xoshiro256pp) -> u32 {
+    let d = small_u32(rng.index(ix(n - 1)));
     if d >= src {
         d + 1
     } else {
@@ -105,20 +105,20 @@ fn uniform_other(src: u32, n: u32, rng: &mut SmallRng) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
-    fn rng() -> SmallRng {
-        SmallRng::seed_from_u64(7)
+    fn rng() -> Xoshiro256pp {
+        Xoshiro256pp::seed_from_u64(7)
     }
 
     #[test]
-    fn uniform_never_self() {
+    fn uniform_covers_everyone_but_self() {
         let mut r = rng();
+        let mut seen = [false; 8];
         for _ in 0..200 {
             let d = TrafficMode::Uniform.pick(3, 8, &mut r).unwrap();
-            assert_ne!(d, 3);
-            assert!(d < 8);
+            seen[d as usize] = true;
         }
+        assert_eq!(seen, [true, true, true, false, true, true, true, true]);
     }
 
     #[test]

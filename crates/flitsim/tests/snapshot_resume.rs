@@ -4,13 +4,12 @@
 //! comparing final statistics, conservation ledgers, and the complete
 //! re-serialized state byte for byte against the uninterrupted run.
 
+use lmpr_codec::xoshiro::Xoshiro256pp;
 use lmpr_core::{DModK, Disjoint, ShiftOne};
 use lmpr_flitsim::{
     FaultPolicy, FlitSim, MonitorLog, ResilienceConfig, RetxConfig, SimConfig, SimStats,
     SnapshotError, TrafficMode, SNAPSHOT_VERSION,
 };
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use xgft::{FaultChange, FaultEvent, FaultSchedule, FaultSet, Topology, XgftSpec};
 
 fn small_topo() -> Topology {
@@ -167,8 +166,8 @@ fn resilient_config_resumes_from_random_cycles() {
     // fail→recover outage, and cycles inside a retransmission backoff
     // window — and require bit-exact resume equivalence.
     let topo = small_topo();
-    let mut rng = SmallRng::seed_from_u64(0x5EED_CAFE);
-    let mut cycles: Vec<u64> = (0..8).map(|_| rng.gen_range(1..5_000)).collect();
+    let mut rng = Xoshiro256pp::seed_from_u64(0x5EED_CAFE);
+    let mut cycles: Vec<u64> = (0..8).map(|_| 1 + rng.below(4_999)).collect();
     // Deterministically cover the interesting windows too: just after
     // the failure (drops arm backoff timers), deep in the outage, and
     // just after recovery while the routing view still lags.
@@ -253,11 +252,11 @@ fn corrupted_snapshots_are_rejected_with_typed_errors() {
     ));
 
     // Every single-bit payload corruption is caught by the checksum.
-    let mut rng = SmallRng::seed_from_u64(42);
+    let mut rng = Xoshiro256pp::seed_from_u64(42);
     for _ in 0..32 {
         let mut bad = good.clone();
-        let i = rng.gen_range(28..bad.len() as u64) as usize;
-        bad[i] ^= 1 << rng.gen_range(0u8..8);
+        let i = 28 + rng.index(bad.len() - 28);
+        bad[i] ^= 1 << rng.below(8);
         assert!(
             matches!(
                 FlitSim::restore(ShiftOne::new(4), &bad).err(),

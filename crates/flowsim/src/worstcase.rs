@@ -10,10 +10,9 @@
 //! averages over.
 
 use crate::{ml_lower_bound, LinkLoads};
+use lmpr_codec::xoshiro::Xoshiro256pp;
 use lmpr_core::Router;
 use lmpr_traffic::{random_permutation, TrafficMatrix};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use xgft::Topology;
 
 /// Search budget knobs.
@@ -55,7 +54,7 @@ pub fn worst_permutation<R: Router + ?Sized>(
 ) -> WorstCase {
     assert!(cfg.restarts >= 1 && cfg.steps_per_restart >= 1);
     let n = topo.num_pns();
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let mut rng = Xoshiro256pp::seed_from_u64(cfg.seed);
     let mut loads = LinkLoads::zero(topo);
     let mut best = WorstCase {
         permutation: (0..n).collect(),
@@ -79,8 +78,8 @@ pub fn worst_permutation<R: Router + ?Sized>(
         let mut current = score(&perm, &mut loads);
         for _ in 0..cfg.steps_per_restart {
             // Swap the destinations of two random sources.
-            let a = rng.gen_range(0..n) as usize;
-            let b = rng.gen_range(0..n) as usize;
+            let a = rng.index(n as usize);
+            let b = rng.index(n as usize);
             if a == b {
                 continue;
             }

@@ -1,8 +1,6 @@
 //! Permutation generators.
 
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use lmpr_codec::xoshiro::Xoshiro256pp;
 
 /// Whether `perm` is a bijection on `0..perm.len()`.
 pub fn is_permutation(perm: &[u32]) -> bool {
@@ -23,7 +21,7 @@ pub fn is_permutation(perm: &[u32]) -> bool {
 /// reproducibility — the sampling unit of the paper's Figure 4 study.
 pub fn random_permutation(n: u32, seed: u64) -> Vec<u32> {
     let mut perm: Vec<u32> = (0..n).collect();
-    perm.shuffle(&mut SmallRng::seed_from_u64(seed));
+    Xoshiro256pp::seed_from_u64(seed).shuffle(&mut perm);
     perm
 }
 

@@ -67,8 +67,8 @@ const ANALYZE_ROOTS: &[&str] = &[
 ];
 
 /// Crate source dirs whose roots (lib.rs / main.rs / bin/*.rs) must
-/// carry `#![forbid(unsafe_code)]`. The vendored dependency stand-ins
-/// (`rand`, `proptest`, `criterion`) are out of scope.
+/// carry `#![forbid(unsafe_code)]`. The test-only `proptest` stand-in
+/// is out of scope.
 const CRATE_SRC_DIRS: &[&str] = &[
     "src",
     "crates/codec/src",
@@ -89,10 +89,9 @@ const PANIC_EXEMPT_ROOT: &str = "crates/bench/src/";
 
 /// Modules approved to read wall clocks: orchestrator deadlines, the
 /// ctld server queue (enqueue timestamps for deadline rejection), and
-/// bench timing. Everything else runs on logical clocks.
+/// the ctld bench's timing. Everything else runs on logical clocks.
 const TIME_APPROVED: &[&str] = &[
     "crates/bench/src/orchestrator.rs",
-    "crates/bench/src/bin/perf_baseline.rs",
     "crates/ctld/src/server.rs",
     "crates/ctld/src/bin/ctl_bench.rs",
 ];

@@ -127,10 +127,22 @@ fn parse_traffic(s: &str, topo: &Topology) -> Result<TrafficMatrix, String> {
             .parse::<u32>()
             .map_err(|e| e.to_string())
     };
+    let node = |p: Option<&str>| -> Result<PnId, String> {
+        let v = arg(p)?;
+        (v < n)
+            .then_some(PnId(v))
+            .ok_or_else(|| format!("node {v} out of range (the topology has {n} nodes)"))
+    };
+    if n < 2 && matches!(head, "uniform" | "hotspot") {
+        return Err(format!("`{head}` traffic needs at least two nodes"));
+    }
     match head {
         "perm" => {
             let seed = arg(parts.next())? as u64;
             Ok(TrafficMatrix::permutation(&random_permutation(n, seed)))
+        }
+        "uniform" if u64::from(n) * u64::from(n - 1) > 1 << 24 => {
+            Err(format!("uniform traffic over {n} nodes is too dense"))
         }
         "uniform" => Ok(TrafficMatrix::uniform(n, 1.0)),
         "adversarial" => adversarial_concentration(topo)
@@ -141,15 +153,18 @@ fn parse_traffic(s: &str, topo: &Topology) -> Result<TrafficMatrix, String> {
             arg(parts.next())?,
         ))),
         "hotspot" => {
-            let node = arg(parts.next())?;
+            let hot = node(parts.next())?;
             let frac: f64 = parts
                 .next()
                 .ok_or("hotspot needs `NODE:FRACTION`".to_owned())?
                 .parse()
                 .map_err(|e: std::num::ParseFloatError| e.to_string())?;
-            Ok(hotspot(n, &[PnId(node)], frac))
+            if !(0.0..=1.0).contains(&frac) {
+                return Err(format!("hotspot fraction {frac} is outside [0, 1]"));
+            }
+            Ok(hotspot(n, &[hot], frac))
         }
-        "alltoone" => Ok(all_to_one(n, PnId(arg(parts.next())?))),
+        "alltoone" => Ok(all_to_one(n, node(parts.next())?)),
         other => Err(format!("unknown traffic `{other}`")),
     }
 }
@@ -342,7 +357,7 @@ fn cmd_tables(args: &[String]) -> Result<(), String> {
         Some("top") => SlotOrder::TopFirst,
         Some(other) => return Err(format!("unknown slot order `{other}`")),
     };
-    let ft = ForwardingTables::build(&topo, k, order);
+    let ft = ForwardingTables::try_build(&topo, k, order).map_err(|e| e.to_string())?;
     println!("topology      : {}", topo.spec());
     println!("paths per dst : {k} (slot order {order:?})");
     println!("LMC           : {}", ft.lmc());
