@@ -4,86 +4,17 @@
 //! and turns violations into the exit code.
 //!
 //! Usage: `chaos [--quick] [--json PATH]`
-//!        `chaos --orchestrate DIR [--quick] [--json PATH]
-//!               [--max-cells N] [--deadline-secs S]`
 //!
-//! With `--orchestrate`, the sweep runs under the supervised, resumable
-//! [`SweepOrchestrator`]:
-//! per-experiment progress is journaled in `DIR/journal.json`, long
-//! simulations checkpoint their complete state, and re-running the same
-//! command after a crash (or SIGKILL) resumes from the journal and
-//! produces a document byte-identical to an uninterrupted run. The
-//! document is only written/printed once every cell completed.
+//! The sweep is deterministic and short (about 30 s in full, 2 s at
+//! `--quick`), so a killed run is simply rerun: the rerun writes the
+//! same document byte for byte.
 
 #![forbid(unsafe_code)]
 
-use lmpr_bench::orchestrator::{OrchestratorOptions, SweepOrchestrator};
-use lmpr_bench::{chaos, document_to_json, write_document, CommonArgs};
-use std::time::Duration;
-
-struct Cli {
-    common: CommonArgs,
-    orchestrate: Option<String>,
-    max_cells: Option<usize>,
-    deadline_secs: Option<u64>,
-}
-
-fn parse_cli(args: impl Iterator<Item = String>) -> Result<Cli, String> {
-    let mut rest = Vec::new();
-    let mut orchestrate = None;
-    let mut max_cells = None;
-    let mut deadline_secs = None;
-    let mut it = args;
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "--orchestrate" => orchestrate = Some(value("--orchestrate")?),
-            "--max-cells" => {
-                max_cells = Some(
-                    value("--max-cells")?
-                        .parse()
-                        .map_err(|e| format!("--max-cells: {e}"))?,
-                )
-            }
-            "--deadline-secs" => {
-                deadline_secs = Some(
-                    value("--deadline-secs")?
-                        .parse()
-                        .map_err(|e| format!("--deadline-secs: {e}"))?,
-                )
-            }
-            _ => rest.push(a),
-        }
-    }
-    if orchestrate.is_none() && (max_cells.is_some() || deadline_secs.is_some()) {
-        return Err("--max-cells/--deadline-secs require --orchestrate".into());
-    }
-    Ok(Cli {
-        common: CommonArgs::parse(rest.into_iter())?,
-        orchestrate,
-        max_cells,
-        deadline_secs,
-    })
-}
+use lmpr_bench::{chaos, document_to_json, usage_error, write_document, CommonArgs};
 
 fn main() {
-    let cli = match parse_cli(std::env::args().skip(1)) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("chaos: {e}");
-            std::process::exit(2);
-        }
-    };
-    match &cli.orchestrate {
-        Some(dir) => orchestrated(dir, &cli),
-        None => inline(&cli.common),
-    }
-}
-
-/// The classic single-process run: execute everything, print, exit.
-fn inline(args: &CommonArgs) {
+    let args = CommonArgs::from_env(&[]).unwrap_or_else(|e| usage_error("chaos", &e));
     let out = chaos::run(args.quick);
     match &args.json {
         Some(path) => {
@@ -104,59 +35,6 @@ fn inline(args: &CommonArgs) {
             "chaos: {} invariant violations, {} failed runs",
             out.violations,
             out.failures.len()
-        );
-        std::process::exit(1);
-    }
-}
-
-/// The supervised run: journal + checkpoints + retries; the document
-/// appears only once the whole grid completed.
-fn orchestrated(dir: &str, cli: &Cli) {
-    let mut opts = OrchestratorOptions::new(dir, cli.common.quick);
-    opts.max_cells = cli.max_cells;
-    if let Some(s) = cli.deadline_secs {
-        opts.deadline = Duration::from_secs(s);
-    }
-    let mut orch = match SweepOrchestrator::new(opts) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("chaos: cannot set up orchestrator in {dir}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let report = match orch.run() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("chaos: orchestrator I/O failure: {e}");
-            std::process::exit(2);
-        }
-    };
-    for e in &report.cell_errors {
-        eprintln!("chaos: {e}");
-    }
-    if !report.completed {
-        eprintln!(
-            "chaos: sweep incomplete ({} cells processed this pass); re-run the same \
-             command to resume from {dir}/journal.json",
-            report.cells_run
-        );
-        std::process::exit(1);
-    }
-    let document = report.document.as_deref().unwrap_or("{}");
-    match &cli.common.json {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, document) {
-                eprintln!("chaos: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-            println!("wrote results document to {path}");
-        }
-        None => println!("{document}"),
-    }
-    if report.violations > 0 || report.failure_count > 0 {
-        eprintln!(
-            "chaos: {} invariant violations, {} failed runs",
-            report.violations, report.failure_count
         );
         std::process::exit(1);
     }

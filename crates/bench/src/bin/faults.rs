@@ -8,16 +8,10 @@
 
 #![forbid(unsafe_code)]
 
-use lmpr_bench::{document_to_json, faults, write_document, CommonArgs};
+use lmpr_bench::{document_to_json, faults, usage_error, write_document, CommonArgs};
 
 fn main() {
-    let args = match CommonArgs::parse(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("faults: {e}");
-            std::process::exit(2);
-        }
-    };
+    let args = CommonArgs::from_env(&[]).unwrap_or_else(|e| usage_error("faults", &e));
     let out = faults::run(args.quick);
     match args.json {
         Some(path) => {

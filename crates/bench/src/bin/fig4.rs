@@ -8,12 +8,14 @@
 //! * `c` — XGFT(2; 12,24; 1,12)      (24-port 2-tree)
 //! * `d` — XGFT(3; 12,12,24; 1,12,12) (24-port 3-tree)
 //!
-//! Usage: `fig4 [a|b|c|d ...] [--quick] [--ablation] [--json PATH]`
+//! Usage: `fig4 [a|b|c|d ...] [ablation] [--quick] [--json PATH]`
 //! (no panel argument runs all four).
 
 #![forbid(unsafe_code)]
 
-use lmpr_bench::{heuristics_at, k_ladder, topology_by_name, write_json, CommonArgs, Record};
+use lmpr_bench::{
+    heuristics_at, k_ladder, topology_by_name, usage_error, write_json, CommonArgs, Record,
+};
 use lmpr_core::{Router, RouterKind};
 use lmpr_flowsim::{average_over_seeds, PermutationStudy, StudyConfig};
 use xgft::Topology;
@@ -135,13 +137,8 @@ fn run_panel(
 }
 
 fn main() {
-    let args = match CommonArgs::parse(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("fig4: {e}");
-            std::process::exit(2);
-        }
-    };
+    let args = CommonArgs::from_env(&["a", "b", "c", "d", "ablation"])
+        .unwrap_or_else(|e| usage_error("fig4", &e));
     let ablation = args.positional.iter().any(|p| p == "ablation");
     let panels: Vec<String> = {
         let named: Vec<String> = args

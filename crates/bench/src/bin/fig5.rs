@@ -8,20 +8,14 @@
 
 #![forbid(unsafe_code)]
 
-use lmpr_bench::{write_json, CommonArgs, Record};
+use lmpr_bench::{usage_error, write_json, CommonArgs, Record};
 use lmpr_core::{Router, RouterKind};
 use lmpr_flitsim::sweep::run_sweep;
 use lmpr_flitsim::SimConfig;
 use xgft::{Topology, XgftSpec};
 
 fn main() {
-    let args = match CommonArgs::parse(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("fig5: {e}");
-            std::process::exit(2);
-        }
-    };
+    let args = CommonArgs::from_env(&[]).unwrap_or_else(|e| usage_error("fig5", &e));
     let topo = Topology::new(XgftSpec::m_port_n_tree(8, 3).expect("valid"));
     let label = topo.spec().to_string();
     let cfg = if args.quick {

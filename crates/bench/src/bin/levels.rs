@@ -12,24 +12,29 @@
 
 #![forbid(unsafe_code)]
 
-use lmpr_bench::{write_json, CommonArgs, Record};
+use lmpr_bench::{usage_error, write_json, CommonArgs, Record};
 use lmpr_core::{Router, RouterKind};
 use lmpr_flowsim::{level_breakdown, LinkLoads};
 use lmpr_traffic::{random_permutation, TrafficMatrix};
 use xgft::{LinkDir, Topology, XgftSpec};
 
+/// The path budget: the one optional positional argument, a positive
+/// integer.
+fn parse_k(positional: &[String]) -> Result<u64, String> {
+    match positional {
+        [] => Ok(4),
+        [k] => match k.parse() {
+            Ok(k) if k > 0 => Ok(k),
+            _ => Err(format!("K must be a positive integer, got {k:?}")),
+        },
+        [_, extra, ..] => Err(format!("unexpected argument {extra:?}")),
+    }
+}
+
 fn main() {
-    let args = match CommonArgs::parse(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("levels: {e}");
-            std::process::exit(2);
-        }
-    };
-    let k: u64 = args
-        .positional
-        .first()
-        .map_or(4, |s| s.parse().expect("K must be a number"));
+    let args =
+        CommonArgs::parse(std::env::args().skip(1)).unwrap_or_else(|e| usage_error("levels", &e));
+    let k = parse_k(&args.positional).unwrap_or_else(|e| usage_error("levels", &e));
     let samples = if args.quick { 20 } else { 200 };
     let topo = Topology::new(XgftSpec::m_port_n_tree(16, 3).expect("valid"));
     let label = topo.spec().to_string();

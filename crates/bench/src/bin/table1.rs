@@ -11,20 +11,14 @@
 
 #![forbid(unsafe_code)]
 
-use lmpr_bench::{write_json, CommonArgs, Record};
+use lmpr_bench::{usage_error, write_json, CommonArgs, Record};
 use lmpr_core::{RandomK, Router, RouterKind};
 use lmpr_flitsim::sweep::{load_grid, run_sweep};
 use lmpr_flitsim::{saturation_throughput, PathPolicy, SimConfig};
 use xgft::{Topology, XgftSpec};
 
 fn main() {
-    let args = match CommonArgs::parse(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("table1: {e}");
-            std::process::exit(2);
-        }
-    };
+    let args = CommonArgs::from_env(&["policy"]).unwrap_or_else(|e| usage_error("table1", &e));
     let topo = Topology::new(XgftSpec::m_port_n_tree(8, 3).expect("valid"));
     let label = topo.spec().to_string();
     let cfg = if args.quick {

@@ -12,20 +12,14 @@
 
 #![forbid(unsafe_code)]
 
-use lmpr_bench::{write_json, CommonArgs, Record};
+use lmpr_bench::{usage_error, write_json, CommonArgs, Record};
 use lmpr_core::{lid, DModK, Router, Umulti};
 use lmpr_flowsim::{ml_lower_bound, performance_ratio, LinkLoads};
 use lmpr_traffic::{adversarial_concentration, random_permutation, TrafficMatrix};
 use xgft::{Topology, XgftSpec};
 
 fn main() {
-    let args = match CommonArgs::parse(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("theorems: {e}");
-            std::process::exit(2);
-        }
-    };
+    let args = CommonArgs::from_env(&[]).unwrap_or_else(|e| usage_error("theorems", &e));
     let mut records = Vec::new();
 
     println!("Theorem 1 — PERF(UMULTI) = 1 (max |ratio - 1| over sampled TMs)");

@@ -20,10 +20,8 @@
 //! against its shift-vector specification instead of the router.
 //!
 //! `--ci` runs the acceptance matrix: all four heuristics at
-//! K ∈ {1, 2, X} on the three fixtures, both LFT slot orders, one
-//! degraded-mode fault sample, and the snapshot-subsystem certificates
-//! (`SNAP-ROUNDTRIP`, `SNAP-REJECT`, `SNAP-RESUME`) — the gate wired
-//! into `ci.sh`.
+//! K ∈ {1, 2, X} on the three fixtures, both LFT slot orders and one
+//! degraded-mode fault sample — the gate wired into `ci.sh`.
 //! `--demo-cycle` feeds the analyzer a deliberately cyclic (valley
 //! routed) dependency fixture and shows the minimal counterexample.
 
@@ -103,7 +101,7 @@ fn run(raw: Vec<String>) -> Result<bool, String> {
     }
 
     let reports = if args.ci {
-        ci_matrix()?
+        ci_matrix()
     } else {
         let name = args
             .positional
@@ -184,7 +182,7 @@ fn parse_k(spec: &str, rest: &str) -> Result<u64, String> {
 /// The acceptance matrix run by `ci.sh`: every heuristic at
 /// K ∈ {1, 2, X} on all three fixtures, both LFT slot orders on the
 /// fig-3 tree, and a degraded-mode sample on fig3 and asym.
-fn ci_matrix() -> Result<Vec<Report>, String> {
+fn ci_matrix() -> Vec<Report> {
     let mut reports = Vec::new();
     for name in ["fig3", "asym", "fat16"] {
         let (label, topo) = fixture_by_name(name).expect("fixture");
@@ -216,11 +214,7 @@ fn ci_matrix() -> Result<Vec<Report>, String> {
             Some(&faults),
         ));
     }
-    // The snapshot-subsystem certificates (SNAP-ROUNDTRIP, SNAP-REJECT,
-    // SNAP-RESUME): round-trip state equality, corruption/version
-    // rejection witnesses, and the resume-equivalence proof.
-    reports.extend(lmpr_bench::snapcheck::snapshot_reports());
-    Ok(reports)
+    reports
 }
 
 /// A deliberately cyclic fixture: a valley route (down before up)

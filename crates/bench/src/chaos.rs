@@ -29,20 +29,8 @@
 //! in-flight) and for invariant diagnostics; any violation is counted
 //! in the output so callers (the binary, CI's golden test) can gate on
 //! a seeded chaos smoke run.
-//!
-//! # Execution vs. assembly
-//!
-//! The harness is split into **seed-granular runners** (pure functions
-//! producing exact, journal-serializable `SweepSeedOutcome` /
-//! `ScriptedSeedOutcome` values) and a deterministic **assembly** pass
-//! that aggregates outcomes into records, tables and invariant checks.
-//! [`run`] executes every seed inline and assembles; the resumable
-//! [`SweepOrchestrator`](crate::orchestrator::SweepOrchestrator) runs
-//! the same seeds under checkpoint/retry supervision, journals the
-//! outcomes, and feeds the *same* assembly — which is what makes a
-//! killed-and-resumed sweep byte-identical to an uninterrupted one.
 
-use crate::{failure_to_json, Failure, Record};
+use crate::{Failure, Record};
 use lmpr_core::{Router, RouterKind};
 use lmpr_flitsim::{
     FaultPolicy, FlitSim, ResilienceConfig, RetxConfig, SimConfig, SimError, SimStats, TrafficMode,
@@ -76,359 +64,87 @@ pub struct ChaosRun {
     pub violations: u32,
 }
 
-// ---------------------------------------------------------------------
-// Plans: the full experiment grids, derived from the budget flag alone
-// so the inline harness and the orchestrator always agree on the cells.
-// ---------------------------------------------------------------------
-
-/// The degradation-sweep grid: fault rate × scheme × seed.
-pub(crate) struct SweepPlan {
-    pub(crate) topo: Topology,
-    pub(crate) label: String,
-    pub(crate) cfg: SimConfig,
-    pub(crate) rates: Vec<f64>,
-    pub(crate) schemes: Vec<(RouterKind, u64)>,
-    pub(crate) seeds: u64,
+/// Run both chaos experiments at the quick or full statistical budget.
+pub fn run(quick: bool) -> ChaosRun {
+    let mut out = ChaosRun {
+        records: Vec::new(),
+        failures: Vec::new(),
+        violations: 0,
+    };
+    degradation_sweep(quick, &mut out);
+    scripted_outage(quick, &mut out);
+    out
 }
 
-impl SweepPlan {
-    pub(crate) fn new(quick: bool) -> Self {
-        let topo = Topology::new(XgftSpec::m_port_n_tree(8, 3).expect("valid"));
-        let label = topo.spec().to_string();
-        let cfg = SimConfig {
-            warmup_cycles: 2_000,
-            measure_cycles: if quick { 6_000 } else { 20_000 },
-            offered_load: 0.4,
-            ..SimConfig::default()
-        };
-        let rates: Vec<f64> = if quick {
-            vec![0.0, 5e-5, 1e-4]
-        } else {
-            vec![0.0, 1e-5, 5e-5, 1e-4]
-        };
-        let schemes: Vec<(RouterKind, u64)> = if quick {
-            vec![
-                (RouterKind::DModK, 1),
-                (RouterKind::ShiftOne(4), 4),
-                (RouterKind::Disjoint(4), 4),
-            ]
-        } else {
-            vec![
-                (RouterKind::DModK, 1),
-                (RouterKind::ShiftOne(4), 4),
-                (RouterKind::Disjoint(4), 4),
-                (RouterKind::ShiftOne(8), 8),
-                (RouterKind::Disjoint(8), 8),
-            ]
-        };
-        let seeds: u64 = if quick { 2 } else { 4 };
-        SweepPlan {
-            topo,
-            label,
-            cfg,
-            rates,
-            schemes,
-            seeds,
-        }
-    }
-
-    /// Build the simulator of one (rate, scheme, seed) run.
-    pub(crate) fn build_sim(
-        &self,
-        rate: f64,
-        router: RouterKind,
-        seed: u64,
-    ) -> Result<FlitSim<RouterKind>, SimError> {
-        let schedule = FaultSchedule::poisson(
-            &self.topo,
-            rate,
-            MEAN_REPAIR,
-            self.cfg.horizon(),
-            100 + seed,
-        );
-        FlitSim::with_schedule(
-            &self.topo,
-            router,
-            self.cfg.with_seed(self.cfg.seed ^ seed),
-            TrafficMode::Uniform,
-            schedule,
-            FaultPolicy::Drop,
-            SWEEP_RESILIENCE,
-        )
-    }
+/// The rendered error-severity findings among `diags`.
+fn errors(diags: Vec<Diagnostic>) -> Vec<String> {
+    diags
+        .into_iter()
+        .filter(|d| d.severity == Severity::Error)
+        .map(|d| d.to_string())
+        .collect()
 }
 
-/// The scripted fail → recover experiment plan.
-pub(crate) struct ScriptedPlan {
-    pub(crate) topo: Topology,
-    pub(crate) label: String,
-    pub(crate) fail_at: u64,
-    pub(crate) recover_at: u64,
-    pub(crate) horizon: u64,
-    pub(crate) res: ResilienceConfig,
-    pub(crate) window: u64,
-    pub(crate) seeds: u64,
-    pub(crate) cfg: SimConfig,
-    perm: Vec<u32>,
-    link: xgft::DirectedLinkId,
-}
-
-impl ScriptedPlan {
-    pub(crate) fn new(quick: bool) -> Self {
-        let topo = Topology::new(XgftSpec::new(&[4, 4], &[1, 4]).expect("valid"));
-        let label = topo.spec().to_string();
-        let link = topo.up_link(2, 0, 0);
-        let (fail_at, recover_at, horizon) = (6_000u64, 12_000u64, 16_000u64);
-        let res = ResilienceConfig {
-            detect_cycles: 1_500,
-            reconverge_cycles: 2_500,
-            retx: None,
-        };
-        let seeds: u64 = if quick { 3 } else { 5 };
-        // Shift-by-4 permutation: every flow is inter-group and d-mod-k
-        // pins flow 0→4 entirely onto the scripted link, so the dip is a
-        // fixed, visible share (1/16) of total throughput.
-        let perm: Vec<u32> = (0..topo.num_pns())
-            .map(|i| (i + 4) % topo.num_pns())
-            .collect();
-        let cfg = SimConfig {
-            warmup_cycles: 0,
-            measure_cycles: horizon,
-            offered_load: 0.6,
-            packets_per_message: 1,
-            ..SimConfig::default()
-        };
-        ScriptedPlan {
-            topo,
-            label,
-            fail_at,
-            recover_at,
-            horizon,
-            res,
-            window: 1_000,
-            seeds,
-            cfg,
-            perm,
-            link,
-        }
-    }
-
-    pub(crate) fn n_windows(&self) -> usize {
-        (self.horizon / self.window) as usize
-    }
-
-    /// Build the simulator of one scripted seed.
-    pub(crate) fn build_sim(&self, seed: u64) -> Result<FlitSim<RouterKind>, SimError> {
-        let schedule = FaultSchedule::scripted(vec![
-            FaultEvent {
-                at: self.fail_at,
-                change: FaultChange::LinkDown(self.link),
-            },
-            FaultEvent {
-                at: self.recover_at,
-                change: FaultChange::LinkUp(self.link),
-            },
-        ]);
-        FlitSim::with_schedule(
-            &self.topo,
-            RouterKind::DModK,
-            self.cfg.with_seed(self.cfg.seed ^ (7 * seed)),
-            TrafficMode::Permutation(self.perm.clone()),
-            schedule,
-            FaultPolicy::Drop,
-            self.res,
-        )
-    }
-
-    /// The structured failure of a scripted seed that could not build.
-    pub(crate) fn failure(&self, seed: u64, error: SimError) -> Failure {
-        Failure {
-            experiment: "chaos-scripted".into(),
-            topology: self.label.clone(),
-            scheme: "d-mod-k".into(),
-            k: 1,
-            x: self.fail_at as f64,
-            seed,
-            error,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Seed-granular outcomes: the exact values assembly aggregates. Every
-// field round-trips through the journal bit-exactly (f64s via shortest
-// decimal, counters as integers).
-// ---------------------------------------------------------------------
-
-/// One successful monitored sweep run, reduced to the metrics assembly
-/// aggregates.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SweepSeedOutcome {
-    pub(crate) thru: f64,
-    pub(crate) p50: f64,
-    pub(crate) p99: f64,
-    pub(crate) retx: f64,
-    pub(crate) reconv: f64,
-    pub(crate) max_reconv: u64,
-    /// Error-severity monitor diagnostics, rendered.
-    pub(crate) errors: Vec<String>,
-}
-
-/// One successful scripted run: exact per-window delivery deltas plus
-/// the realized reconvergence lag.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ScriptedSeedOutcome {
-    /// Flits delivered within each window (exact integers — the float
-    /// window-throughput aggregation happens once, at assembly).
-    pub(crate) deliveries: Vec<u64>,
-    pub(crate) mean_reconverge: f64,
-    pub(crate) errors: Vec<String>,
-}
-
-/// Outcome of one seed: success, or a failure carried as the
-/// pre-rendered document block (plus a display string for logs), so a
-/// journal resume needs no typed-error parsing.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum SeedOutcome<T> {
-    Ok(T),
-    Failed {
-        /// The exact `failures[]` JSON object block of the document.
-        json: String,
-        /// Human-readable error for progress output.
-        display: String,
-    },
-}
-
-/// Every seed outcome of one full harness invocation, in canonical
-/// (rate-major, then scheme, then seed) order.
-pub(crate) struct ChaosOutcomes {
-    /// Indexed `[rate][scheme] -> per-seed outcomes`.
-    pub(crate) sweep: Vec<Vec<Vec<SeedOutcome<SweepSeedOutcome>>>>,
-    pub(crate) scripted: Vec<SeedOutcome<ScriptedSeedOutcome>>,
-}
-
-/// Reduce a finished sweep simulation to its seed outcome: audit the
-/// conservation ledger, keep error-severity diagnostics, extract the
-/// aggregated metrics.
-pub(crate) fn finish_sweep_seed(
-    sim: &FlitSim<RouterKind>,
-    stats: SimStats,
-    mut diags: Vec<Diagnostic>,
-) -> SweepSeedOutcome {
+/// Run one (rate, scheme, seed) cell of the sweep under the invariant
+/// monitors, and audit its conservation ledger at the end. Returns the
+/// stats and the error-severity findings, rendered.
+fn sweep_seed(
+    topo: &Topology,
+    cfg: SimConfig,
+    rate: f64,
+    router: RouterKind,
+    seed: u64,
+) -> Result<(SimStats, Vec<String>), SimError> {
+    let schedule = FaultSchedule::poisson(topo, rate, MEAN_REPAIR, cfg.horizon(), 100 + seed);
+    let mut sim = FlitSim::with_schedule(
+        topo,
+        router,
+        cfg.with_seed(cfg.seed ^ seed),
+        TrafficMode::Uniform,
+        schedule,
+        FaultPolicy::Drop,
+        SWEEP_RESILIENCE,
+    )?;
+    let (stats, mut diags) = sim.run_monitored(1_000)?;
     let ledger = sim.conservation_ledger();
     if !ledger.flit_balance_holds() || !ledger.transfer_balance_holds() {
         // check() renders the precise imbalance as RT-CONSERVE errors.
         ledger.check(&mut diags);
     }
-    let errors = diags
-        .into_iter()
-        .filter(|d| d.severity == Severity::Error)
-        .map(|d| d.to_string())
-        .collect();
-    SweepSeedOutcome {
-        thru: stats.accepted_throughput(),
-        p50: stats.delay_p50,
-        p99: stats.delay_p99,
-        retx: stats.retransmit_ratio(),
-        reconv: stats.mean_reconverge_cycles,
-        max_reconv: stats.max_reconverge_cycles,
-        errors,
-    }
+    Ok((stats, errors(diags)))
 }
 
-/// Run one sweep seed start to finish (the inline, non-resumable path).
-pub(crate) fn sweep_seed(
-    plan: &SweepPlan,
-    rate: f64,
-    router: RouterKind,
-    seed: u64,
-) -> Result<SweepSeedOutcome, SimError> {
-    let mut sim = plan.build_sim(rate, router, seed)?;
-    let (stats, diags) = sim.run_monitored(1_000)?;
-    Ok(finish_sweep_seed(&sim, stats, diags))
-}
-
-/// Reduce a scripted simulation that has been driven to the horizon
-/// (with `deliveries` collected at each window boundary) to its outcome.
-pub(crate) fn finish_scripted_seed(
-    sim: &mut FlitSim<RouterKind>,
-    deliveries: Vec<u64>,
-) -> ScriptedSeedOutcome {
-    let stats = sim.stats();
-    let errors = sim
-        .check_invariants()
-        .into_iter()
-        .filter(|d| d.severity == Severity::Error)
-        .map(|d| d.to_string())
-        .collect();
-    ScriptedSeedOutcome {
-        deliveries,
-        mean_reconverge: stats.mean_reconverge_cycles,
-        errors,
-    }
-}
-
-/// Run one scripted seed start to finish (the inline path).
-pub(crate) fn scripted_seed(
-    plan: &ScriptedPlan,
-    seed: u64,
-) -> Result<ScriptedSeedOutcome, SimError> {
-    let mut sim = plan.build_sim(seed)?;
-    let mut prev_delivered = 0u64;
-    let mut deliveries = Vec::with_capacity(plan.n_windows());
-    for w in 0..plan.n_windows() as u64 {
-        while sim.now() < (w + 1) * plan.window {
-            sim.step();
-        }
-        let (_, delivered) = sim.lifetime_counters();
-        deliveries.push(delivered - prev_delivered);
-        prev_delivered = delivered;
-    }
-    Ok(finish_scripted_seed(&mut sim, deliveries))
-}
-
-// ---------------------------------------------------------------------
-// Assembly: outcomes -> records, tables, invariant checks. Pure and
-// deterministic, so inline and resumed invocations serialize the same
-// document.
-// ---------------------------------------------------------------------
-
-/// Records, pre-rendered failure blocks and the violation count of one
-/// assembled harness invocation.
-pub(crate) struct Assembled {
-    pub(crate) records: Vec<Record>,
-    pub(crate) failure_objects: Vec<String>,
-    pub(crate) violations: u32,
-}
-
-pub(crate) fn assemble(
-    quick: bool,
-    plan: &SweepPlan,
-    splan: &ScriptedPlan,
-    outcomes: &ChaosOutcomes,
-) -> Assembled {
-    let mut out = Assembled {
-        records: Vec::new(),
-        failure_objects: Vec::new(),
-        violations: 0,
+/// Experiment 1: the degradation sweep on the 8-port 3-tree, fault rate
+/// × scheme × seed.
+fn degradation_sweep(quick: bool, out: &mut ChaosRun) {
+    let topo = Topology::new(XgftSpec::m_port_n_tree(8, 3).expect("valid"));
+    let label = topo.spec().to_string();
+    let cfg = SimConfig {
+        warmup_cycles: 2_000,
+        measure_cycles: if quick { 6_000 } else { 20_000 },
+        offered_load: 0.4,
+        ..SimConfig::default()
     };
-    assemble_sweep(quick, plan, &outcomes.sweep, &mut out);
-    assemble_scripted(splan, &outcomes.scripted, &mut out);
-    out
-}
+    let rates: Vec<f64> = if quick {
+        vec![0.0, 5e-5, 1e-4]
+    } else {
+        vec![0.0, 1e-5, 5e-5, 1e-4]
+    };
+    let mut schemes: Vec<(RouterKind, u64)> = vec![
+        (RouterKind::DModK, 1),
+        (RouterKind::ShiftOne(4), 4),
+        (RouterKind::Disjoint(4), 4),
+    ];
+    if !quick {
+        schemes.extend([(RouterKind::ShiftOne(8), 8), (RouterKind::Disjoint(8), 8)]);
+    }
+    let seeds: u64 = if quick { 2 } else { 4 };
 
-fn assemble_sweep(
-    quick: bool,
-    plan: &SweepPlan,
-    sweep: &[Vec<Vec<SeedOutcome<SweepSeedOutcome>>>],
-    out: &mut Assembled,
-) {
-    let label = &plan.label;
     println!("E13 — chaos degradation sweep");
     println!(
         "{label}, uniform traffic at load {:.1}, Poisson link churn (mean repair {MEAN_REPAIR} \
          cycles), drop policy, retransmission on, view lag {} cycles\n",
-        plan.cfg.offered_load,
+        cfg.offered_load,
         SWEEP_RESILIENCE.lag()
     );
     println!(
@@ -439,25 +155,32 @@ fn assemble_sweep(
     // (scheme name, k, rate) -> seed-mean throughput, for the
     // degradation-ordering check after the table.
     let mut thru_by_cell: Vec<(String, u64, f64, f64)> = Vec::new();
-    for (ri, &rate) in plan.rates.iter().enumerate() {
-        for (si, &(router, k)) in plan.schemes.iter().enumerate() {
-            let cell = &sweep[ri][si];
-            let mut runs: Vec<&SweepSeedOutcome> = Vec::new();
-            for (seed, so) in cell.iter().enumerate() {
-                match so {
-                    SeedOutcome::Ok(o) => {
-                        for msg in &o.errors {
+    for &rate in &rates {
+        for &(router, k) in &schemes {
+            let mut runs: Vec<SimStats> = Vec::new();
+            for seed in 0..seeds {
+                match sweep_seed(&topo, cfg, rate, router, seed) {
+                    Ok((run, errors)) => {
+                        for msg in &errors {
                             eprintln!("  INVARIANT {} {}: {}", router.name(), rate, msg);
                             out.violations += 1;
                         }
-                        runs.push(o);
+                        runs.push(run);
                     }
-                    SeedOutcome::Failed { json, display } => {
+                    Err(error) => {
                         eprintln!(
-                            "  FAILED {} rate {rate} seed {seed}: {display}",
+                            "  FAILED {} rate {rate} seed {seed}: {error}",
                             router.name()
                         );
-                        out.failure_objects.push(json.clone());
+                        out.failures.push(Failure {
+                            experiment: "chaos-sweep".into(),
+                            topology: label.clone(),
+                            scheme: router.name(),
+                            k,
+                            x: rate,
+                            seed,
+                            error,
+                        });
                     }
                 }
             }
@@ -465,12 +188,16 @@ fn assemble_sweep(
                 continue;
             }
             let n = runs.len() as f64;
-            let thru = runs.iter().map(|o| o.thru).sum::<f64>() / n;
-            let p50 = runs.iter().map(|o| o.p50).sum::<f64>() / n;
-            let p99 = runs.iter().map(|o| o.p99).sum::<f64>() / n;
-            let retx = runs.iter().map(|o| o.retx).sum::<f64>() / n;
-            let reconv = runs.iter().map(|o| o.reconv).sum::<f64>() / n;
-            let max_reconv = runs.iter().map(|o| o.max_reconv).max().unwrap_or(0);
+            let thru = runs.iter().map(SimStats::accepted_throughput).sum::<f64>() / n;
+            let p50 = runs.iter().map(|s| s.delay_p50).sum::<f64>() / n;
+            let p99 = runs.iter().map(|s| s.delay_p99).sum::<f64>() / n;
+            let retx = runs.iter().map(SimStats::retransmit_ratio).sum::<f64>() / n;
+            let reconv = runs.iter().map(|s| s.mean_reconverge_cycles).sum::<f64>() / n;
+            let max_reconv = runs
+                .iter()
+                .map(|s| s.max_reconverge_cycles)
+                .max()
+                .unwrap_or(0);
             println!(
                 "{:>10.0e} {:>12} {:>3} {:>10.4} {:>8.0} {:>8.0} {:>9.4} {:>10.0}",
                 rate,
@@ -517,8 +244,7 @@ fn assemble_sweep(
             .collect();
         (!cells.is_empty()).then(|| cells.iter().sum::<f64>() / cells.len() as f64)
     };
-    for &(_, k) in plan
-        .schemes
+    for &(_, k) in schemes
         .iter()
         .filter(|(r, _)| matches!(r, RouterKind::Disjoint(_)))
     {
@@ -539,42 +265,95 @@ fn assemble_sweep(
     println!();
 }
 
-fn assemble_scripted(
-    plan: &ScriptedPlan,
-    scripted: &[SeedOutcome<ScriptedSeedOutcome>],
-    out: &mut Assembled,
-) {
-    let label = &plan.label;
-    let (fail_at, recover_at) = (plan.fail_at, plan.recover_at);
-    let window = plan.window;
+/// Experiment 2: a single up-link of a 2-level XGFT fails mid-run and
+/// is repaired later, under a permutation that loads it; windowed
+/// throughput averaged over seeds.
+fn scripted_outage(quick: bool, out: &mut ChaosRun) {
+    let topo = Topology::new(XgftSpec::new(&[4, 4], &[1, 4]).expect("valid"));
+    let label = topo.spec().to_string();
+    let link = topo.up_link(2, 0, 0);
+    let (fail_at, recover_at, horizon) = (6_000u64, 12_000u64, 16_000u64);
+    let res = ResilienceConfig {
+        detect_cycles: 1_500,
+        reconverge_cycles: 2_500,
+        retx: None,
+    };
+    let window = 1_000u64;
+    let seeds: u64 = if quick { 3 } else { 5 };
+    // Shift-by-4 permutation: every flow is inter-group and d-mod-k
+    // pins flow 0→4 entirely onto the scripted link, so the dip is a
+    // fixed, visible share (1/16) of total throughput.
+    let perm: Vec<u32> = (0..topo.num_pns())
+        .map(|i| (i + 4) % topo.num_pns())
+        .collect();
+    let cfg = SimConfig {
+        warmup_cycles: 0,
+        measure_cycles: horizon,
+        offered_load: 0.6,
+        packets_per_message: 1,
+        ..SimConfig::default()
+    };
 
     println!("E13 — scripted fail → recover on a single up-link");
     println!(
         "{label}, shift-4 permutation, d-mod-k; link down at {fail_at}, repaired at \
          {recover_at}; view lag {} cycles, drop policy\n",
-        plan.res.lag()
+        res.lag()
     );
 
-    let n_windows = plan.n_windows();
+    let n_windows = (horizon / window) as usize;
     let mut window_thru = vec![0.0f64; n_windows];
     let mut reconv_mean = 0.0f64;
-    for (seed, so) in scripted.iter().enumerate() {
-        match so {
-            SeedOutcome::Ok(o) => {
-                for (slot, &delta) in window_thru.iter_mut().zip(o.deliveries.iter()) {
-                    *slot += delta as f64
-                        / (window as f64 * plan.topo.num_pns() as f64 * plan.seeds as f64);
-                }
-                reconv_mean += o.mean_reconverge / plan.seeds as f64;
-                for msg in &o.errors {
-                    eprintln!("  INVARIANT scripted seed {seed}: {msg}");
-                    out.violations += 1;
-                }
+    for seed in 0..seeds {
+        let schedule = FaultSchedule::scripted(vec![
+            FaultEvent {
+                at: fail_at,
+                change: FaultChange::LinkDown(link),
+            },
+            FaultEvent {
+                at: recover_at,
+                change: FaultChange::LinkUp(link),
+            },
+        ]);
+        let built = FlitSim::with_schedule(
+            &topo,
+            RouterKind::DModK,
+            cfg.with_seed(cfg.seed ^ (7 * seed)),
+            TrafficMode::Permutation(perm.clone()),
+            schedule,
+            FaultPolicy::Drop,
+            res,
+        );
+        let mut sim = match built {
+            Ok(sim) => sim,
+            Err(error) => {
+                eprintln!("  FAILED scripted seed {seed}: {error}");
+                out.failures.push(Failure {
+                    experiment: "chaos-scripted".into(),
+                    topology: label.clone(),
+                    scheme: "d-mod-k".into(),
+                    k: 1,
+                    x: fail_at as f64,
+                    seed,
+                    error,
+                });
+                continue;
             }
-            SeedOutcome::Failed { json, display } => {
-                eprintln!("  FAILED scripted seed {seed}: {display}");
-                out.failure_objects.push(json.clone());
+        };
+        let mut prev_delivered = 0u64;
+        for (w, slot) in (0u64..).zip(window_thru.iter_mut()) {
+            while sim.now() < (w + 1) * window {
+                sim.step();
             }
+            let (_, delivered) = sim.lifetime_counters();
+            *slot += (delivered - prev_delivered) as f64
+                / (window as f64 * topo.num_pns() as f64 * seeds as f64);
+            prev_delivered = delivered;
+        }
+        reconv_mean += sim.stats().mean_reconverge_cycles / seeds as f64;
+        for msg in errors(sim.check_invariants()) {
+            eprintln!("  INVARIANT scripted seed {seed}: {msg}");
+            out.violations += 1;
         }
     }
 
@@ -613,8 +392,8 @@ fn assemble_scripted(
         sum / n.max(1) as f64
     };
     let baseline = avg(2_000, fail_at);
-    let outage = avg(fail_at, fail_at + plan.res.lag());
-    let reconverged = avg(fail_at + plan.res.lag() + window, recover_at);
+    let outage = avg(fail_at, fail_at + res.lag());
+    let reconverged = avg(fail_at + res.lag() + window, recover_at);
     println!(
         "\nbaseline {:.4}, during outage (pre-reconvergence) {:.4}, after reconvergence {:.4}",
         baseline, outage, reconverged
@@ -636,76 +415,4 @@ fn assemble_scripted(
         y: baseline - outage,
         aux: Some(reconverged - baseline),
     });
-}
-
-// ---------------------------------------------------------------------
-// Inline entry point
-// ---------------------------------------------------------------------
-
-/// Run both chaos experiments at the quick or full statistical budget.
-pub fn run(quick: bool) -> ChaosRun {
-    let plan = SweepPlan::new(quick);
-    let splan = ScriptedPlan::new(quick);
-    let mut outcomes = ChaosOutcomes {
-        sweep: Vec::new(),
-        scripted: Vec::new(),
-    };
-    let mut typed_failures: Vec<Failure> = Vec::new();
-
-    for &rate in &plan.rates {
-        let mut row = Vec::new();
-        for &(router, k) in &plan.schemes {
-            let mut cell = Vec::new();
-            for seed in 0..plan.seeds {
-                match sweep_seed(&plan, rate, router, seed) {
-                    Ok(o) => cell.push(SeedOutcome::Ok(o)),
-                    Err(e) => {
-                        let display = e.to_string();
-                        let f = Failure {
-                            experiment: "chaos-sweep".into(),
-                            topology: plan.label.clone(),
-                            scheme: router.name(),
-                            k,
-                            x: rate,
-                            seed,
-                            error: e,
-                        };
-                        cell.push(SeedOutcome::Failed {
-                            json: failure_to_json(&f),
-                            display,
-                        });
-                        typed_failures.push(f);
-                    }
-                }
-            }
-            row.push(cell);
-        }
-        outcomes.sweep.push(row);
-    }
-    for seed in 0..splan.seeds {
-        match scripted_seed(&splan, seed) {
-            Ok(o) => outcomes.scripted.push(SeedOutcome::Ok(o)),
-            Err(e) => {
-                let display = e.to_string();
-                let f = splan.failure(seed, e);
-                outcomes.scripted.push(SeedOutcome::Failed {
-                    json: failure_to_json(&f),
-                    display,
-                });
-                typed_failures.push(f);
-            }
-        }
-    }
-
-    let assembled = assemble(quick, &plan, &splan, &outcomes);
-    debug_assert_eq!(
-        assembled.failure_objects.len(),
-        typed_failures.len(),
-        "assembly must surface exactly the typed failures"
-    );
-    ChaosRun {
-        records: assembled.records,
-        failures: typed_failures,
-        violations: assembled.violations,
-    }
 }

@@ -22,8 +22,6 @@ use lmpr_flitsim::SimError;
 
 pub mod chaos;
 pub mod faults;
-pub mod orchestrator;
-pub mod snapcheck;
 
 // These four live in `lmpr-codec` and `xgft`; the paths below are kept
 // because `benchmark/` imports them and may not change.
@@ -165,58 +163,37 @@ pub fn sim_error_to_json(e: &SimError) -> String {
     }
 }
 
-/// Render one [`Failure`] as the exact indented JSON object block that
-/// [`document_to_json`] embeds in the `failures` array. The orchestrator
-/// journals these pre-rendered blocks so a resumed sweep reproduces the
-/// final document byte for byte without having to re-parse a typed
-/// [`SimError`] out of the journal.
-pub fn failure_to_json(f: &Failure) -> String {
-    let mut out = String::from("    {\n");
-    out.push_str(&format!(
-        "      \"experiment\": {},\n",
-        json_string(&f.experiment)
-    ));
-    out.push_str(&format!(
-        "      \"topology\": {},\n",
-        json_string(&f.topology)
-    ));
-    out.push_str(&format!("      \"scheme\": {},\n", json_string(&f.scheme)));
-    out.push_str(&format!("      \"k\": {},\n", f.k));
-    out.push_str(&format!("      \"x\": {},\n", json_f64(f.x)));
-    out.push_str(&format!("      \"seed\": {},\n", f.seed));
-    out.push_str(&format!(
-        "      \"error\": {}\n",
-        sim_error_to_json(&f.error)
-    ));
-    out.push_str("    }");
-    out
-}
-
-/// Render a results document from records plus *pre-rendered* failure
-/// object blocks (the [`failure_to_json`] layout). This is the single
-/// serialization path for `{"records": […], "failures": […]}` documents:
-/// [`document_to_json`] and the resumable orchestrator both delegate
-/// here, which is what makes a kill/resume run byte-identical to an
-/// uninterrupted one.
-pub fn document_from_parts(records: &[Record], failure_objects: &[String]) -> String {
+/// Render a results document holding both successful-run records and
+/// structured failures: `{"records": […], "failures": […]}`.
+pub fn document_to_json(records: &[Record], failures: &[Failure]) -> String {
     let records_json = records_to_json(records).replace('\n', "\n  ");
     let mut out = format!("{{\n  \"records\": {records_json},\n  \"failures\": [");
-    for (i, obj) in failure_objects.iter().enumerate() {
+    for (i, f) in failures.iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(obj);
+        out.push_str("    {\n");
+        out.push_str(&format!(
+            "      \"experiment\": {},\n",
+            json_string(&f.experiment)
+        ));
+        out.push_str(&format!(
+            "      \"topology\": {},\n",
+            json_string(&f.topology)
+        ));
+        out.push_str(&format!("      \"scheme\": {},\n", json_string(&f.scheme)));
+        out.push_str(&format!("      \"k\": {},\n", f.k));
+        out.push_str(&format!("      \"x\": {},\n", json_f64(f.x)));
+        out.push_str(&format!("      \"seed\": {},\n", f.seed));
+        out.push_str(&format!(
+            "      \"error\": {}\n",
+            sim_error_to_json(&f.error)
+        ));
+        out.push_str("    }");
     }
-    if !failure_objects.is_empty() {
+    if !failures.is_empty() {
         out.push_str("\n  ");
     }
     out.push_str("]\n}");
     out
-}
-
-/// Render a results document holding both successful-run records and
-/// structured failures: `{"records": […], "failures": […]}`.
-pub fn document_to_json(records: &[Record], failures: &[Failure]) -> String {
-    let objects: Vec<String> = failures.iter().map(failure_to_json).collect();
-    document_from_parts(records, &objects)
 }
 
 /// Write a records + failures document as pretty JSON to `path`.
@@ -252,6 +229,33 @@ impl CommonArgs {
         }
         Ok(out)
     }
+
+    /// Refuse any positional argument outside `allowed`, so a stray or
+    /// mistyped word fails before any work starts instead of being
+    /// ignored.
+    pub fn allow_positional(self, allowed: &[&str]) -> Result<Self, String> {
+        match self
+            .positional
+            .iter()
+            .find(|p| !allowed.contains(&p.as_str()))
+        {
+            Some(p) => Err(format!("unexpected argument {p:?}")),
+            None => Ok(self),
+        }
+    }
+
+    /// Parse the process's arguments, allowing only the positional
+    /// words in `allowed`.
+    pub fn from_env(allowed: &[&str]) -> Result<Self, String> {
+        Self::parse(std::env::args().skip(1))?.allow_positional(allowed)
+    }
+}
+
+/// Report a command-line error as `<bin>: <error>` on stderr and exit
+/// with status 2.
+pub fn usage_error(bin: &str, error: &str) -> ! {
+    eprintln!("{bin}: {error}");
+    std::process::exit(2)
 }
 
 #[cfg(test)]
@@ -281,6 +285,11 @@ mod tests {
         assert_eq!(a.positional, vec!["a"]);
         assert!(CommonArgs::parse(["--nope"].into_iter().map(String::from)).is_err());
         assert!(CommonArgs::parse(["--json"].into_iter().map(String::from)).is_err());
+        assert!(a.clone().allow_positional(&["a", "b"]).is_ok());
+        assert_eq!(
+            a.allow_positional(&["b"]).unwrap_err(),
+            "unexpected argument \"a\""
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Golden-equivalence tests: run the chaos and faults harnesses
-//! in-process at the quick budget and byte-compare their serialized
-//! documents against the committed `results/*_quick.json` files.
+//! in-process and byte-compare their serialized documents against the
+//! committed `results/chaos_quick.json`, `results/chaos.json` and
+//! `results/faults_quick.json`.
 //!
 //! These are the refactor tripwires for the routing/selection stack:
 //! the documents embed every seeded simulation outcome (throughput,
@@ -9,14 +10,14 @@
 //! `SelectionEngine`, the fault schedules or the RNG consumption order
 //! shows up as a byte diff. Regenerate deliberately with
 //! `cargo run --release -p lmpr-bench --bin chaos -- --quick --json results/chaos_quick.json`
-//! (resp. `faults`) and commit the new goldens alongside the change
-//! that explains them.
+//! (resp. without `--quick` into `results/chaos.json`, or `faults`) and
+//! commit the new goldens alongside the change that explains them.
 //!
 //! Marked `#[ignore]` because each takes tens of seconds unoptimized;
-//! CI runs them in release via
-//! `cargo test -q --release -p lmpr-bench --test golden -- --ignored`.
+//! CI runs the quick ones in release via
+//! `cargo test -q --release -p lmpr-bench --test golden -- --ignored quick`
+//! and the full chaos sweep as a step of its own.
 
-use lmpr_bench::orchestrator::{OrchestratorOptions, SweepOrchestrator};
 use lmpr_bench::{chaos, document_to_json, faults};
 
 #[test]
@@ -39,47 +40,22 @@ fn chaos_quick_document_is_byte_identical_to_golden() {
 
 #[test]
 #[ignore = "slow; CI runs it in release"]
-fn killed_and_resumed_orchestrator_matches_golden_byte_for_byte() {
-    // Crash-recovery certificate for the sweep orchestrator: interrupt
-    // the supervised quick sweep at a fixed journal point (three cells
-    // completed — deterministic, unlike a wall-clock SIGKILL), then
-    // re-run the orchestrator against the same results directory. The
-    // resumed sweep must skip the journaled cells, finish the rest, and
-    // assemble a document byte-identical to the committed golden — i.e.
-    // indistinguishable from a sweep that was never interrupted.
-    let dir = std::env::temp_dir().join(format!("lmpr-orch-golden-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let mut opts = OrchestratorOptions::new(&dir, true);
-    opts.max_cells = Some(3);
-    let mut first = SweepOrchestrator::new(opts.clone()).expect("orchestrator setup");
-    let report = first.run().expect("first pass");
-    assert!(!report.completed, "max_cells must interrupt the sweep");
-    assert!(report.document.is_none());
-    assert_eq!(report.cells_run, 3);
+fn chaos_full_document_is_byte_identical_to_golden() {
+    // The full sweep has no checkpoint: a killed run is rerun, and this
+    // pins what the rerun must write, byte for byte.
+    let out = chaos::run(false);
+    assert_eq!(out.violations, 0, "chaos full run tripped invariants");
     assert!(
-        dir.join("journal.json").is_file(),
-        "interrupted sweep must leave a journal"
+        out.failures.is_empty(),
+        "chaos full run had failed runs: {:?}",
+        out.failures
     );
-    drop(first);
-
-    opts.max_cells = None;
-    let mut second = SweepOrchestrator::new(opts).expect("orchestrator reload");
-    let report = second.run().expect("second pass");
-    assert!(report.completed, "resumed sweep must finish the grid");
-    assert!(report.cell_errors.is_empty(), "{:?}", report.cell_errors);
-    assert_eq!(report.violations, 0);
-    assert_eq!(report.failure_count, 0);
-    // Fewer cells this pass: the journal already held the first three.
-    assert_eq!(report.cells_run, 10 - 3);
-
-    let golden = include_str!("../../../results/chaos_quick.json");
-    let got = report.document.expect("completed sweep has a document");
+    let golden = include_str!("../../../results/chaos.json");
+    let got = document_to_json(&out.records, &out.failures);
     assert_eq!(
         got, golden,
-        "killed-and-resumed orchestrator document drifted from results/chaos_quick.json"
+        "chaos document drifted from results/chaos.json"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -123,16 +123,6 @@ impl Enc {
     }
 
     #[inline]
-    pub fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-
-    #[inline]
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -142,27 +132,10 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// f64 as raw IEEE bits: bit-exact round-trip, NaN-safe.
-    #[inline]
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
     /// Sequence-length prefix (u64).
     #[inline]
     pub fn seq_len(&mut self, len: usize) {
         self.u64(len as u64);
-    }
-
-    #[inline]
-    pub fn opt_u32(&mut self, v: Option<u32>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.u32(x);
-            }
-        }
     }
 }
 
@@ -180,7 +153,7 @@ impl<'a> Dec<'a> {
     }
 
     #[inline]
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], Error> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], Error> {
         let end = self.pos.checked_add(n).ok_or(Error::Truncated)?;
         let s = self.bytes.get(self.pos..end).ok_or(Error::Truncated)?;
         self.pos = end;
@@ -198,20 +171,6 @@ impl<'a> Dec<'a> {
     }
 
     #[inline]
-    pub fn bool(&mut self) -> Result<bool, Error> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(Error::Corrupt("boolean out of range")),
-        }
-    }
-
-    #[inline]
-    pub fn u16(&mut self) -> Result<u16, Error> {
-        self.array().map(u16::from_le_bytes)
-    }
-
-    #[inline]
     pub fn u32(&mut self) -> Result<u32, Error> {
         self.array().map(u32::from_le_bytes)
     }
@@ -221,43 +180,17 @@ impl<'a> Dec<'a> {
         self.array().map(u64::from_le_bytes)
     }
 
+    /// u32 length prefix of a sequence of ≥ `min_elem`-byte elements,
+    /// bounded by the bytes still unread: a corrupted count cannot make
+    /// the caller reserve more than the payload could hold.
     #[inline]
-    pub fn f64(&mut self) -> Result<f64, Error> {
-        self.u64().map(f64::from_bits)
-    }
-
-    /// Bound a decoded sequence length by the bytes still unread: each
-    /// element occupies at least `min_elem` bytes, so a corrupted count
-    /// cannot make the caller reserve more than the payload could hold.
-    fn bounded(&self, len: u64, min_elem: usize) -> Result<usize, Error> {
+    pub fn seq_len32(&mut self, min_elem: usize) -> Result<usize, Error> {
+        let len = u64::from(self.u32()?);
         let remaining = (self.bytes.len() - self.pos) as u64;
         if len > remaining / (min_elem.max(1) as u64) {
             return Err(Error::Corrupt("sequence length exceeds payload"));
         }
         usize::try_from(len).map_err(|_| Error::Corrupt("sequence length exceeds payload"))
-    }
-
-    /// u64 length prefix of a sequence of ≥ `min_elem`-byte elements.
-    #[inline]
-    pub fn seq_len(&mut self, min_elem: usize) -> Result<usize, Error> {
-        let len = self.u64()?;
-        self.bounded(len, min_elem)
-    }
-
-    /// u32 length prefix of a sequence of ≥ `min_elem`-byte elements.
-    #[inline]
-    pub fn seq_len32(&mut self, min_elem: usize) -> Result<usize, Error> {
-        let len = self.u32()?;
-        self.bounded(u64::from(len), min_elem)
-    }
-
-    #[inline]
-    pub fn opt_u32(&mut self) -> Result<Option<u32>, Error> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => self.u32().map(Some),
-            _ => Err(Error::Corrupt("option tag out of range")),
-        }
     }
 
     /// Require that every payload byte was consumed.
@@ -321,9 +254,9 @@ mod tests {
     #[test]
     fn decoder_guards_lengths() {
         let mut e = Enc::default();
-        e.seq_len(1_000_000);
+        e.u32(1_000_000);
         let too_long = Err(Error::Corrupt("sequence length exceeds payload"));
-        assert_eq!(Dec::new(e.bytes()).seq_len(8), too_long);
+        assert_eq!(Dec::new(e.bytes()).seq_len32(8), too_long);
         // The bound is on bytes remaining, not elements: 3 five-byte
         // elements do not fit in the 12 bytes after the prefix.
         let mut e = Enc::default();
@@ -332,7 +265,6 @@ mod tests {
         e.u32(0);
         assert_eq!(Dec::new(e.bytes()).seq_len32(5), too_long);
         assert_eq!(Dec::new(e.bytes()).seq_len32(4), Ok(3));
-        assert!(matches!(Dec::new(&[2]).bool(), Err(Error::Corrupt(_))));
         assert_eq!(Dec::new(&[]).u64(), Err(Error::Truncated));
         assert_eq!(Dec::new(&[1, 2, 3]).u32(), Err(Error::Truncated));
     }
@@ -341,23 +273,15 @@ mod tests {
     fn scalars_round_trip_little_endian() {
         let mut e = Enc::with_capacity(32);
         e.u8(7);
-        e.bool(true);
-        e.u16(0x0102);
         e.u32(0x0304_0506);
         e.u64(u64::MAX - 1);
-        e.f64(-0.0);
-        e.opt_u32(None);
-        e.opt_u32(Some(9));
-        assert_eq!(&e.bytes()[2..4], &[0x02, 0x01]);
+        e.seq_len(2);
+        assert_eq!(&e.bytes()[1..5], &[0x06, 0x05, 0x04, 0x03]);
         let mut d = Dec::new(e.bytes());
         assert_eq!(d.u8(), Ok(7));
-        assert_eq!(d.bool(), Ok(true));
-        assert_eq!(d.u16(), Ok(0x0102));
         assert_eq!(d.u32(), Ok(0x0304_0506));
         assert_eq!(d.u64(), Ok(u64::MAX - 1));
-        assert_eq!(d.f64().map(f64::to_bits), Ok((-0.0f64).to_bits()));
-        assert_eq!(d.opt_u32(), Ok(None));
-        assert_eq!(d.opt_u32(), Ok(Some(9)));
+        assert_eq!(d.u64(), Ok(2));
         assert_eq!(d.finish(), Ok(()));
         assert!(Dec::new(&[0]).finish().is_err());
     }

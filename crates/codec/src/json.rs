@@ -1,21 +1,20 @@
 //! Strict JSON: the one reader and the two scalar writers.
 //!
-//! Result documents, the orchestrator journal and the controller's
-//! wire frames are written by hand-laid-out `format!` calls on top of
+//! Result documents, certificates and the controller's wire frames are
+//! written by hand-laid-out `format!` calls on top of
 //! [`json_string`] and [`json_f64`]; [`parse`] / [`parse_bytes`] is the
 //! matching reader, and [`Value`]'s `req_*` accessors turn "member
 //! `key` must be present and of this type" into one fallible call. Two
 //! properties matter here and shaped the design:
 //!
 //! * **Numbers keep their source text.** [`Value::Num`] stores the raw
-//!   token; callers parse on demand. Journaled `f64`s are written with
-//!   Rust's shortest-roundtrip formatting, so `text.parse::<f64>()`
-//!   recovers the original value bit for bit — the foundation of the
-//!   byte-identical-resume guarantee.
-//! * **Reads never panic.** Malformed input — a torn journal, hostile
-//!   socket bytes — surfaces as a structured [`ParseError`] with a byte
-//!   offset: duplicate keys, non-UTF-8, truncations and depth bombs
-//!   included.
+//!   token; callers parse on demand. [`json_f64`] writes Rust's
+//!   shortest-roundtrip formatting, so `text.parse::<f64>()` recovers
+//!   the original value bit for bit.
+//! * **Reads never panic.** Malformed input — a truncated document,
+//!   hostile socket bytes — surfaces as a structured [`ParseError`]
+//!   with a byte offset: duplicate keys, non-UTF-8, truncations and
+//!   depth bombs included.
 
 use std::fmt;
 

@@ -1,5 +1,5 @@
 //! The workspace's one codec: every byte that reaches a result
-//! document, a checkpoint, a snapshot or the controller's socket is
+//! document, a controller checkpoint or the controller's socket is
 //! produced — and every such byte read back is validated — here.
 //!
 //! * [`json`] — the strict JSON reader (typed errors on any input,

@@ -51,7 +51,8 @@ pub fn route_key(s: PnId, d: PnId) -> u64 {
 /// full keyed permutation per probe. One Fibonacci multiply plus a fold
 /// of the high bits mixes every key bit into the table index and keeps
 /// iteration order deterministic across runs (the map is only ever
-/// *iterated* through [`SelectionEngine::cached_keys`], which sorts).
+/// *iterated* through [`SelectionEngine::cached_selections`], which
+/// sorts).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RouteKeyHasher(u64);
 
@@ -414,44 +415,6 @@ impl<R: Router> SelectionEngine<R> {
         }
         self.stats.invalidated += flushed;
         flushed
-    }
-
-    /// The cache's key set in sorted order — the serialization surface
-    /// of a simulator snapshot. Selections themselves are *not*
-    /// serialized: a restore recomputes them against the restored view
-    /// (see [`SelectionEngine::restore_cached`]), which the
-    /// cached-vs-cold property test certifies as equivalent.
-    pub fn cached_keys(&self) -> Vec<u64> {
-        let Some(cache) = self.cache.as_ref() else {
-            return Vec::new();
-        };
-        let mut keys: Vec<u64> = cache.keys().copied().collect();
-        keys.sort_unstable();
-        keys
-    }
-
-    /// Rebuild a cached engine from snapshot parts: the fault view the
-    /// selections were computed against, the key set exported by
-    /// [`SelectionEngine::cached_keys`], and the lifetime counters at
-    /// snapshot time. Each key's selection is *recomputed* against the
-    /// view (cache contents are derived state, never trusted from the
-    /// snapshot); the counters are restored verbatim so post-restore
-    /// statistics match the uninterrupted run exactly.
-    pub fn restore_cached(
-        router: R,
-        view: FaultSet,
-        topo: &Topology,
-        keys: &[u64],
-        stats: SelectionStats,
-    ) -> Self {
-        let mut engine = SelectionEngine::cached(router, view);
-        let mut scratch = Vec::new();
-        for &key in keys {
-            let (s, d) = route_key_pair(key);
-            let _ = engine.try_select(topo, s, d, &mut scratch);
-        }
-        engine.stats = stats;
-        engine
     }
 
     /// The cached selections in deterministic (sorted-key) order — the
@@ -883,33 +846,6 @@ mod tests {
         let n = engine.apply_changes_collect(&topo, &[FaultChange::LinkUp(link)], &mut flushed);
         assert_eq!(n, 1);
         assert_eq!(flushed, vec![route_key(PnId(0), PnId(63))]);
-    }
-
-    #[test]
-    fn restore_cached_rebuilds_identical_cache_and_stats() {
-        let topo = fig3();
-        let mut faults = FaultSet::new();
-        faults.fail_link(topo.up_link(2, 0, 0));
-        let mut engine = SelectionEngine::cached(ShiftOne::new(4), faults);
-        let mut out = Vec::new();
-        for &(s, d) in &[(0u32, 63u32), (1, 0), (0, 63), (5, 40), (17, 3)] {
-            engine.select(&topo, PnId(s), PnId(d), &mut out);
-        }
-        let keys = engine.cached_keys();
-        let restored = SelectionEngine::restore_cached(
-            ShiftOne::new(4),
-            engine.view().clone(),
-            &topo,
-            &keys,
-            engine.stats(),
-        );
-        assert_eq!(restored.stats(), engine.stats());
-        assert_eq!(restored.cached_keys(), keys);
-        let (orig, rest) = (engine.cached_selections(), restored.cached_selections());
-        assert_eq!(orig.len(), rest.len());
-        for (a, b) in orig.iter().zip(rest.iter()) {
-            assert_eq!((a.0, a.1, a.2), (b.0, b.1, b.2));
-        }
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! Each committed epoch is serialized into the `lmpr_codec::envelope`
 //! (magic · version · payload length · FNV-1a-64 · payload, all
-//! little-endian — the one the flit-sim snapshot format uses, under
-//! this module's own magic and version) and written atomically and
-//! durably: the bytes go to a temp file in the
+//! little-endian, under this module's own magic and version) and
+//! written atomically and durably: the bytes go to a temp file in the
 //! same directory, are fsynced, are renamed over the final
 //! `epoch-<n>.snap` name, and the directory itself is fsynced so the
 //! rename survives power loss, not just process death. A crash

@@ -23,10 +23,9 @@
 //!   non-empty — the link stage's worklist.
 //!
 //! Both are functions of the buffers and nothing else. Every push and
-//! pop goes through this module, which updates them in the same call; a
-//! snapshot never stores them ([`Arbiter::restore`] rescans the
-//! buffers), and the `RT-OCCUPANCY` monitor compares them against the
-//! same rescan.
+//! pop goes through this module, which updates them in the same call,
+//! and the `RT-OCCUPANCY` monitor compares them against a rescan of the
+//! buffers.
 //!
 //! A pop clears its queue's bit with a masked store, not a branch:
 //! while a packet streams through a queue, whether a pop empties it is
@@ -120,52 +119,9 @@ impl Arbiter {
         }
     }
 
-    /// Rebuild from snapshot parts: the buffers as serialized (VOQs
-    /// nested per port) and the per-port vectors. `None` when a shape
-    /// does not match the port graph, a round-robin pointer is not a
-    /// local port of its node, or a grant names an input of another
-    /// node. The occupancy bits are rescanned from the buffers, never
-    /// read from the snapshot.
-    pub(crate) fn restore(
-        graph: &PortGraph,
-        in_buf: Vec<Vec<VecDeque<Flit>>>,
-        out_buf: Vec<VecDeque<Flit>>,
-        credits: Vec<u32>,
-        grant: Vec<Option<(u32, u32)>>,
-        rr_ptr: Vec<u32>,
-    ) -> Option<Self> {
-        let mut arb = Arbiter::new(graph, 0);
-        let ports = arb.out_buf.len();
-        let shaped = in_buf.len() == ports
-            && (0..ports).all(|p| in_buf[p].len() == arb.voqs_of(small_u32(p)).len())
-            && [out_buf.len(), credits.len(), grant.len(), rr_ptr.len()] == [ports; 4];
-        if !shaped {
-            return None;
-        }
-        for port in 0..small_u32(ports) {
-            let node = graph.ports_of(graph.port_owner(port));
-            let local = |&(input, _): &(u32, u32)| node.contains(&input);
-            if ix(rr_ptr[ix(port)]) >= node.len() || !grant[ix(port)].as_ref().is_none_or(local) {
-                return None;
-            }
-        }
-        arb.in_buf = in_buf.into_iter().flatten().collect();
-        arb.out_buf = out_buf;
-        arb.credits = credits;
-        arb.grant = grant;
-        arb.rr_ptr = rr_ptr;
-        (arb.in_ready, arb.out_ready) = arb.scan_occupancy();
-        Some(arb)
-    }
-
     /// The VOQs of one input port, in local-output order.
-    pub(crate) fn voqs_of(&self, port: u32) -> &[VecDeque<Flit>] {
+    fn voqs_of(&self, port: u32) -> &[VecDeque<Flit>] {
         &self.in_buf[ix(self.voq_base[ix(port)])..ix(self.voq_base[ix(port) + 1])]
-    }
-
-    /// The output staging buffers, by port gid.
-    pub(crate) fn out_bufs(&self) -> &[VecDeque<Flit>] {
-        &self.out_buf
     }
 
     /// Word of `in_ready` and mask of the bit of input `port`'s VOQ

@@ -14,8 +14,7 @@ pub struct StreamingPacket {
     /// Next flit sequence number to inject.
     pub next_seq: u16,
     /// The packet's length in flits, copied from its record when it is
-    /// queued (a restore copies it again) so streaming never looks the
-    /// record up.
+    /// queued so streaming never looks the record up.
     pub len: u16,
 }
 
@@ -98,29 +97,6 @@ impl Source {
     /// diagnostics and conservation audits).
     pub fn backlog(&self) -> usize {
         self.queues.iter().map(VecDeque::len).sum()
-    }
-
-    /// Snapshot view of the private stream state: the RNG position, the
-    /// absolute next-arrival time, and the round-robin counter (the
-    /// queues are public and serialized separately).
-    pub fn snapshot_parts(&self) -> ([u64; 4], f64, u64) {
-        (self.rng.state(), self.next_arrival, self.rr)
-    }
-
-    /// Rebuild a source from snapshot parts, resuming its RNG stream at
-    /// the exact captured position.
-    pub fn from_parts(
-        rng_state: [u64; 4],
-        next_arrival: f64,
-        queues: Vec<VecDeque<StreamingPacket>>,
-        rr: u64,
-    ) -> Self {
-        Source {
-            rng: Xoshiro256pp::from_state(rng_state),
-            next_arrival,
-            queues,
-            rr,
-        }
     }
 }
 

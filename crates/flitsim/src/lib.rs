@@ -51,7 +51,6 @@ mod packet;
 mod resilience;
 mod routing_view;
 mod sim;
-mod snapshot;
 mod stats;
 pub mod sweep;
 mod traffic_mode;
@@ -59,11 +58,10 @@ mod util;
 
 pub use config::{FaultPolicy, PathPolicy, ResilienceConfig, RetxConfig, SimConfig};
 pub use error::{ConfigError, DeadlockReport, SimError, TrafficError};
-pub use monitor::{check_progress, ConservationLedger, MonitorLog};
+pub use monitor::{check_progress, ConservationLedger};
 pub use network::PortGraph;
 pub use resilience::{DropCause, XferState};
 pub use sim::FlitSim;
-pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use stats::{saturation_throughput, LoadPoint, SimStats};
 pub use sweep::{load_grid, run_sweep, run_sweep_with_preflight, SweepError};
 pub use traffic_mode::TrafficMode;

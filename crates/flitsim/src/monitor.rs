@@ -124,30 +124,27 @@ impl ConservationLedger {
     }
 }
 
-/// Accumulator for monitor findings across run segments.
+/// Accumulator for the monitor findings of one
+/// [`FlitSim::run_monitored`](crate::FlitSim::run_monitored) run.
 ///
 /// Warnings are deduplicated per rule for the log's lifetime; errors are
-/// always recorded. A resumable run
-/// ([`FlitSim::run_monitored_until`](crate::FlitSim::run_monitored_until))
-/// threads one log through all of its segments so the combined report
-/// matches what an uninterrupted [`FlitSim::run_monitored`](crate::FlitSim::run_monitored)
-/// would have produced.
-#[derive(Debug, Clone, Default)]
-pub struct MonitorLog {
+/// always recorded.
+#[derive(Debug, Default)]
+pub(crate) struct MonitorLog {
     warned: Vec<RuleId>,
     report: Vec<Diagnostic>,
 }
 
 impl MonitorLog {
     /// An empty log.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Record a batch of findings from one checkpoint. Errors are kept
     /// verbatim; warnings only on their rule's first occurrence. Returns
     /// whether the batch contained an error (the caller's abort signal).
-    pub fn absorb(&mut self, findings: Vec<Diagnostic>) -> bool {
+    pub(crate) fn absorb(&mut self, findings: Vec<Diagnostic>) -> bool {
         let mut fatal = false;
         for d in findings {
             if d.severity == Severity::Error {
@@ -161,13 +158,8 @@ impl MonitorLog {
         fatal
     }
 
-    /// Findings recorded so far.
-    pub fn findings(&self) -> &[Diagnostic] {
-        &self.report
-    }
-
     /// Consume the log, yielding the recorded findings.
-    pub fn into_findings(self) -> Vec<Diagnostic> {
+    pub(crate) fn into_findings(self) -> Vec<Diagnostic> {
         self.report
     }
 }
@@ -446,24 +438,6 @@ mod tests {
         let crossing = stale.link_mid_packet.iter().position(Option::is_some);
         stale.link_voq[crossing.expect("asserted by busy_sim")] ^= 1;
         assert!(occupancy_message(&stale).is_some_and(|m| m.contains("in-flight VOQ")));
-    }
-
-    #[test]
-    fn restore_rebuilds_the_in_flight_voqs_from_routes_alone() {
-        // `link_voq` is noted from the crossing head's hop; a restore
-        // has no head to ask and derives it from the route and the
-        // cable's level. The two must agree wherever a packet is
-        // crossing (elsewhere the value is never read).
-        let sim = busy_sim();
-        let restored =
-            FlitSim::restore(lmpr_core::DModK, &sim.snapshot()).expect("snapshot restores");
-        assert_eq!(restored.src_ready, sim.src_ready);
-        for (out, mid) in sim.link_mid_packet.iter().enumerate() {
-            if mid.is_some() {
-                assert_eq!(restored.link_voq[out], sim.link_voq[out], "cable {out}");
-            }
-        }
-        assert_eq!(restored.check_invariants(), sim.check_invariants());
     }
 
     #[test]

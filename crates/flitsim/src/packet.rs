@@ -25,7 +25,7 @@ pub struct Flit {
     /// Whether this is the packet's tail flit (`seq + 1 == len`):
     /// derived from the packet record when the flit is created, so the
     /// stages that only need to know where a packet ends never look the
-    /// record up. Not serialized; a restore recomputes it.
+    /// record up.
     pub tail: bool,
 }
 

@@ -19,25 +19,22 @@
 use crate::network::PortGraph;
 use lmpr_core::{CachedSelection, Router, SelectionEngine, SelectionStats};
 use std::collections::VecDeque;
-use xgft::{
-    DirectedLinkId, FaultChange, FaultEvent, FaultSchedule, FaultSet, PathId, PnId, Topology,
-};
+use xgft::{DirectedLinkId, FaultChange, FaultSchedule, FaultSet, PathId, PnId, Topology};
 
 /// Fault events that happened at one physical instant, queued until the
 /// routing view is allowed to act on them.
-#[derive(Debug, Clone)]
-pub(crate) struct ViewBatch {
+struct ViewBatch {
     /// Cycle the events physically occurred.
-    pub(crate) event_at: u64,
+    event_at: u64,
     /// Cycle the routing view applies them (`event_at + lag`,
     /// saturating).
-    pub(crate) apply_at: u64,
+    apply_at: u64,
     /// The changes, in timeline order.
-    pub(crate) changes: Vec<FaultChange>,
+    changes: Vec<FaultChange>,
 }
 
 /// The directed links whose up/down state a fault change toggles.
-pub(crate) fn affected_links(topo: &Topology, change: FaultChange) -> Vec<DirectedLinkId> {
+fn affected_links(topo: &Topology, change: FaultChange) -> Vec<DirectedLinkId> {
     match change {
         FaultChange::LinkDown(l) | FaultChange::LinkUp(l) => vec![l],
         FaultChange::SwitchDown(n) | FaultChange::SwitchUp(n) => topo.incident_links(n),
@@ -142,90 +139,6 @@ impl<R: Router> RoutingView<R> {
             Some(t) => (t.reconv_events, t.reconv_sum_lag, t.reconv_max_lag),
             None => (0, 0, 0),
         }
-    }
-
-    /// Snapshot view of the timeline (`None` for a plain view): the
-    /// schedule, replay cursor, lag, pending batches and reconvergence
-    /// counters. The physical fault set and the engine's view are *not*
-    /// exposed — both are rebuilt on restore by replaying schedule
-    /// prefixes, which is exact because every event enters exactly one
-    /// batch in timeline order.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn timeline_parts(
-        &self,
-    ) -> Option<(
-        &[FaultEvent],
-        usize,
-        u64,
-        &VecDeque<ViewBatch>,
-        (u64, u64, u64),
-    )> {
-        self.timeline.as_ref().map(|t| {
-            (
-                t.schedule.events(),
-                t.cursor,
-                t.lag,
-                &t.pending_view,
-                (t.reconv_events, t.reconv_sum_lag, t.reconv_max_lag),
-            )
-        })
-    }
-
-    /// The engine's cache key set (sorted) and lifetime counters — the
-    /// serialized half of the selection state. Selections themselves are
-    /// recomputed on restore.
-    pub(crate) fn engine_cache_parts(&self) -> (Vec<u64>, SelectionStats) {
-        (self.engine.cached_keys(), self.engine.stats())
-    }
-
-    /// Rebuild a scheduled view from snapshot parts. The physical fault
-    /// state is replayed from `events[..cursor]`; the engine's (lagged)
-    /// view from the same prefix minus the changes still queued in
-    /// `pending` — the invariant `applied-to-view ++ pending == applied-
-    /// to-phys` holds because [`RoutingView::advance`] drains events into
-    /// batches in timeline order and pops batches FIFO. Returns `None`
-    /// when the parts are inconsistent (cursor past the schedule end, or
-    /// more pending changes than applied events).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn restore_scheduled(
-        router: R,
-        topo: &Topology,
-        schedule: FaultSchedule,
-        cursor: usize,
-        lag: u64,
-        pending_view: VecDeque<ViewBatch>,
-        reconv: (u64, u64, u64),
-        cache_keys: &[u64],
-        stats: SelectionStats,
-    ) -> Option<Self> {
-        let events = schedule.events();
-        if cursor > events.len() {
-            return None;
-        }
-        let pending_changes: usize = pending_view.iter().map(|b| b.changes.len()).sum();
-        let view_cursor = cursor.checked_sub(pending_changes)?;
-        let mut phys_faults = FaultSet::new();
-        let mut view_faults = FaultSet::new();
-        for (i, e) in events.iter().take(cursor).enumerate() {
-            e.change.apply(topo, &mut phys_faults);
-            if i < view_cursor {
-                e.change.apply(topo, &mut view_faults);
-            }
-        }
-        let engine = SelectionEngine::restore_cached(router, view_faults, topo, cache_keys, stats);
-        Some(RoutingView {
-            engine,
-            timeline: Some(Timeline {
-                schedule,
-                cursor,
-                phys_faults,
-                lag,
-                pending_view,
-                reconv_events: reconv.0,
-                reconv_sum_lag: reconv.1,
-                reconv_max_lag: reconv.2,
-            }),
-        })
     }
 
     /// Advance the fault timeline to `now`: events striking this cycle

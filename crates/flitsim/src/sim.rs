@@ -62,12 +62,12 @@ pub struct FlitSim<R: Router> {
     /// Per output port: the downstream VOQ the packet in
     /// `link_mid_packet` joins, noted when its head crossed so its body
     /// follows without consulting the packet record. Meaningful only
-    /// while a packet is crossing; derived (a restore recomputes it
-    /// from the packet's route, see [`downstream_voq`]).
+    /// while a packet is crossing; derived (`RT-OCCUPANCY` recomputes
+    /// it from the packet's route, see [`downstream_voq`]).
     pub(crate) link_voq: Vec<u16>,
     /// The source queues holding a packet, by the port gid of the PN up
     /// port they stream into — the injection stage's worklist. Derived
-    /// from `sources` (a restore rescans them).
+    /// from `sources` (`RT-OCCUPANCY` rescans them).
     pub(crate) src_ready: BitSet,
 
     /// Path selection: the shared engine, plus the lagged fault
@@ -107,7 +107,7 @@ pub struct FlitSim<R: Router> {
 }
 
 /// The source-queue worklist ([`FlitSim::src_ready`]), rescanned from
-/// the queues: what a restore installs and `RT-OCCUPANCY` compares.
+/// the queues: what `RT-OCCUPANCY` compares against.
 pub(crate) fn scan_src_ready(graph: &PortGraph, sources: &[Source]) -> BitSet {
     let mut ready = BitSet::new(graph.num_pn_ports());
     for port in 0..graph.num_pn_ports() {
@@ -295,45 +295,21 @@ impl<R: Router> FlitSim<R> {
     /// failing checkpoint (the stats snapshot is the crash scene);
     /// warnings are deduplicated per rule and never abort.
     pub fn run_monitored(&mut self, every: u64) -> Result<(SimStats, Vec<Diagnostic>), SimError> {
-        let mut log = MonitorLog::new();
-        let fatal = self.run_monitored_until(self.cfg.horizon(), every, &mut log)?;
-        if !fatal {
-            log.absorb(self.check_invariants());
-        }
-        Ok((self.stats(), log.into_findings()))
-    }
-
-    /// Run one *segment* of a monitored run: advance until `until` (or
-    /// the configured horizon, whichever is first), running the invariant
-    /// monitors every `every` cycles into `log`. Returns `Ok(true)` when
-    /// an error-severity finding aborted the segment at a checkpoint.
-    ///
-    /// This is the resumable core of [`FlitSim::run_monitored`]: because
-    /// checks fire at absolute cycles divisible by `every`, splitting a
-    /// run into segments at *any* cycle boundaries — e.g. snapshotting at
-    /// cycle N, restoring, and continuing — drives the monitors at
-    /// exactly the cycles the uninterrupted run would have, as long as
-    /// one `log` is threaded through all segments. The final
-    /// end-of-horizon check is the caller's job (it belongs after the
-    /// *last* segment only).
-    pub fn run_monitored_until(
-        &mut self,
-        until: u64,
-        every: u64,
-        log: &mut MonitorLog,
-    ) -> Result<bool, SimError> {
         let every = every.max(1);
-        let until = until.min(self.cfg.horizon());
-        while self.now < until {
+        let end = self.cfg.horizon();
+        let mut log = MonitorLog::new();
+        let mut fatal = false;
+        while self.now < end && !fatal {
             self.step();
             if let Some(r) = self.watchdog_fired() {
                 return Err(SimError::Deadlock(r));
             }
-            if self.now.is_multiple_of(every) && log.absorb(self.check_invariants()) {
-                return Ok(true);
-            }
+            fatal = self.now.is_multiple_of(every) && log.absorb(self.check_invariants());
         }
-        Ok(false)
+        if !fatal {
+            log.absorb(self.check_invariants());
+        }
+        Ok((self.stats(), log.into_findings()))
     }
 
     /// Advance one cycle. Public so tests and harnesses can single-step.

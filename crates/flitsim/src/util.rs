@@ -227,38 +227,6 @@ impl<T> Slab<T> {
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }
-
-    /// Snapshot view: the raw slot array and the free list, exactly as
-    /// stored. The free-list *order* is behavioral state — keys are
-    /// reused LIFO, and key values flow into downstream identifiers — so
-    /// both halves must round-trip verbatim through a snapshot.
-    pub fn parts(&self) -> (&[Option<T>], &[u32]) {
-        (&self.slots, &self.free)
-    }
-
-    /// Rebuild a slab from [`Slab::parts`] output. Returns `None` when
-    /// the halves are inconsistent (a free-list entry pointing at an
-    /// occupied or out-of-range slot, or listed twice), so a corrupted
-    /// snapshot surfaces as a typed error instead of corrupting later
-    /// insertions.
-    pub fn from_parts(slots: Vec<Option<T>>, free: Vec<u32>) -> Option<Self> {
-        let occupied = slots.iter().filter(|s| s.is_some()).count();
-        if occupied + free.len() != slots.len() {
-            return None;
-        }
-        let mut seen = vec![false; slots.len()];
-        for &key in &free {
-            let slot = slots.get(ix(key))?;
-            if slot.is_some() || std::mem::replace(&mut seen[ix(key)], true) {
-                return None;
-            }
-        }
-        Some(Slab {
-            len: occupied,
-            slots,
-            free,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -353,37 +321,6 @@ mod tests {
         assert_eq!(s.get(a), None);
         assert_eq!(s.get_mut(a), None);
         assert_eq!(s.get(99), None, "unissued keys are vacant too");
-    }
-
-    #[test]
-    fn parts_roundtrip_preserves_free_list_order() {
-        let mut s = Slab::new();
-        let keys: Vec<u32> = (0..5).map(|i| s.insert(i)).collect();
-        s.remove(keys[1]);
-        s.remove(keys[3]);
-        let (slots, free) = s.parts();
-        let rebuilt = Slab::from_parts(slots.to_vec(), free.to_vec()).unwrap();
-        assert_eq!(rebuilt.len(), s.len());
-        // LIFO reuse order must match the original exactly.
-        let mut a = s;
-        let mut b = rebuilt;
-        assert_eq!(a.insert(100), b.insert(100));
-        assert_eq!(a.insert(101), b.insert(101));
-        assert_eq!(a.insert(102), b.insert(102));
-    }
-
-    #[test]
-    fn from_parts_rejects_inconsistent_halves() {
-        // Free entry points at an occupied slot.
-        assert!(Slab::from_parts(vec![Some(1)], vec![0]).is_none());
-        // Free entry out of range.
-        assert!(Slab::<i32>::from_parts(vec![None], vec![3]).is_none());
-        // Duplicate free entry.
-        assert!(Slab::<i32>::from_parts(vec![None, None], vec![0, 0]).is_none());
-        // Vacant slot missing from the free list.
-        assert!(Slab::<i32>::from_parts(vec![None], vec![]).is_none());
-        // Consistent halves round-trip.
-        assert!(Slab::from_parts(vec![Some(1), None], vec![1]).is_some());
     }
 
     #[test]

@@ -716,27 +716,3 @@ fn occupancy_state_holds_on_a_switch_wider_than_one_word() {
     let util = sim.link_utilization();
     assert!(util.iter().all(|&u| u > 0.3), "idle port: {util:?}");
 }
-
-#[test]
-fn occupancy_state_is_rebuilt_by_restore() {
-    // Snapshots never carry the derived state. Restore from snapshots
-    // taken at consecutive cycles under churn — with 16-flit packets in
-    // flight on most cables some are mid-packet with grants held at
-    // every one of them — and check the rebuilt state at once, then
-    // again after running on.
-    let topo = small_topo();
-    let mut sim = churn_sim(&topo);
-    while sim.now() < 2_500 {
-        sim.step();
-    }
-    for _ in 0..40 {
-        sim.step();
-        assert!(sim.flits_in_network() > 100, "the network must be busy");
-        let mut restored =
-            FlitSim::restore(Disjoint::new(2), &sim.snapshot()).expect("snapshot restores");
-        let diags = restored.check_invariants();
-        assert!(diags.is_empty(), "cycle {}: {diags:?}", sim.now());
-        let found = occupancy_findings_while_stepping(&mut restored, sim.now() + 50, 1);
-        assert!(found.is_empty(), "cycle {}: {found:?}", sim.now());
-    }
-}

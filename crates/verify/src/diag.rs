@@ -88,17 +88,6 @@ pub enum RuleId {
     /// longer equals a recomputation from the buffers and records it
     /// is derived from.
     RtOccupancy,
-    /// A simulator snapshot did not round-trip: restoring it and
-    /// re-serializing produced different bytes, or the restored state
-    /// disagreed with the original (stats, conservation ledger).
-    SnapRoundtrip,
-    /// A corrupted, truncated, or version-mismatched snapshot was *not*
-    /// rejected with the expected typed error — the integrity envelope
-    /// (magic, version, length, checksum) failed to catch it.
-    SnapReject,
-    /// Resume equivalence broke: a run snapshotted mid-flight and
-    /// restored diverged from the uninterrupted run by the horizon.
-    SnapResume,
     /// A routing-controller epoch failed its activation certificate:
     /// the reconvergence gate refused to publish the epoch (or an
     /// injected chaos failure forced the refusal) and the controller
@@ -161,9 +150,6 @@ impl RuleId {
             RuleId::RtProgress => "RT-PROGRESS",
             RuleId::RtSelection => "RT-SELECT",
             RuleId::RtOccupancy => "RT-OCCUPANCY",
-            RuleId::SnapRoundtrip => "SNAP-ROUNDTRIP",
-            RuleId::SnapReject => "SNAP-REJECT",
-            RuleId::SnapResume => "SNAP-RESUME",
             RuleId::CtlCertificate => "CTL-CERT",
             RuleId::CtlEpoch => "CTL-EPOCH",
             RuleId::CtlResume => "CTL-RESUME",

@@ -15,8 +15,8 @@
 //!   exempt — that is the workspace's established collect-then-sort
 //!   idiom.
 //! * **DET-TIME** — `Instant::now` / `SystemTime` / `UNIX_EPOCH`
-//!   confined to the approved timing modules (orchestrator deadlines,
-//!   the ctld server queue, bench timing). Sim, selection and verify
+//!   confined to the approved timing modules (the ctld server queue
+//!   and the ctld bench's timing). Sim, selection and verify
 //!   logic must run on logical clocks only.
 //! * **CAST-NARROW** — a ratchet on `as` casts to possibly-narrower
 //!   integer/float types, driving hot paths toward `try_from` or
@@ -87,21 +87,18 @@ const CRATE_SRC_DIRS: &[&str] = &[
 /// binaries may abort on a broken run; libraries may not.
 const PANIC_EXEMPT_ROOT: &str = "crates/bench/src/";
 
-/// Modules approved to read wall clocks: orchestrator deadlines, the
-/// ctld server queue (enqueue timestamps for deadline rejection), and
-/// the ctld bench's timing. Everything else runs on logical clocks.
+/// Modules approved to read wall clocks: the ctld server queue
+/// (enqueue timestamps for deadline rejection) and the ctld bench's
+/// timing. Everything else runs on logical clocks.
 const TIME_APPROVED: &[&str] = &[
-    "crates/bench/src/orchestrator.rs",
     "crates/ctld/src/server.rs",
     "crates/ctld/src/bin/ctl_bench.rs",
 ];
 
 /// Modules approved to spawn threads / build locks and channels: the
 /// ctld socket front end, the standby replication follower, the
-/// orchestrator, the sweep/study samplers, and the ctld bench and
-/// soak drivers.
+/// sweep/study samplers, and the ctld bench and soak drivers.
 const THREAD_APPROVED: &[&str] = &[
-    "crates/bench/src/orchestrator.rs",
     "crates/ctld/src/bin/ctl_bench.rs",
     "crates/ctld/src/bin/ctl_soak.rs",
     "crates/ctld/src/replication.rs",
