@@ -54,6 +54,18 @@ if grep -rnE --include="*.rs" \
   echo "the sweep orchestrator and the flit snapshot are retired" >&2
   exit 1
 fi
+# ctld answers reads from a published snapshot, so nothing queues a read
+# and nothing can expire one: the read deadline, its error code and the
+# ctlc flag stay retired, and the daemon serves from an uncached engine.
+if grep -rnE --include="*.rs" "ErrorCode::Deadline|--deadline-ms" \
+     crates src tests examples; then
+  echo "ErrorCode::Deadline / --deadline-ms are retired" >&2
+  exit 1
+fi
+if grep -rn --include="*.rs" "SelectionEngine::cached" crates/ctld/src; then
+  echo "ctld serves from an uncached SelectionEngine" >&2
+  exit 1
+fi
 if grep -rn --include="*.rs" "fn degrade_selection" crates src tests examples |
    grep -v "^crates/core/src/selection.rs:"; then
   echo "degrade_selection defined outside crates/core/src/selection.rs" >&2

@@ -87,6 +87,23 @@ fn parse_args(args: Vec<String>) -> Result<Args, String> {
             _ => out.positional.push(a),
         }
     }
+    // The two fixed modes take no topology, scheme or fault sample, and
+    // run one at a time: what they would ignore is refused instead.
+    let mode = match (out.ci, out.demo_cycle) {
+        (true, true) => return Err("--ci and --demo-cycle are exclusive".to_owned()),
+        (true, false) => "--ci",
+        (false, true) => "--demo-cycle",
+        (false, false) => return Ok(out),
+    };
+    if let Some(word) = out.positional.first() {
+        return Err(format!("{mode} takes no TOPOLOGY or SCHEME, got {word:?}"));
+    }
+    if out.faults.is_some() {
+        return Err(format!("{mode} takes no --faults"));
+    }
+    if out.demo_cycle && out.json.is_some() {
+        return Err("--demo-cycle takes no --json; it prints its report".to_owned());
+    }
     Ok(out)
 }
 

@@ -1,6 +1,6 @@
 //! The experiment binaries' input contract: a positional argument a
-//! binary does not use, or a path budget that is not a positive
-//! integer, is an error on stderr prefixed with the binary's name and
+//! binary does not use, a flag its mode ignores, or a path budget that
+//! is not a positive integer, is an error on stderr prefixed with the binary's name and
 //! exit code 2 — never a panic, never silently ignored. Every input here
 //! is refused before any work starts, so the test is fast.
 
@@ -50,5 +50,21 @@ fn stray_positional_arguments_are_rejected() {
         ("table1", env!("CARGO_BIN_EXE_table1"), &["bogus"]),
     ] {
         assert_rejected(bin, exe, args);
+    }
+}
+
+#[test]
+fn verify_modes_refuse_what_they_would_ignore() {
+    let exe = env!("CARGO_BIN_EXE_verify");
+    for args in [
+        &["--ci", "bogus"][..],
+        &["fig3", "dmodk", "--ci"],
+        &["--ci", "--faults", "0.05:3"],
+        &["--demo-cycle", "fig3"],
+        &["--demo-cycle", "--faults", "0.05:3"],
+        &["--demo-cycle", "--json", "out.json"],
+        &["--ci", "--demo-cycle"],
+    ] {
+        assert_rejected("verify", exe, args);
     }
 }

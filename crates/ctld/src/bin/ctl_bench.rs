@@ -93,7 +93,7 @@ fn query_worker(
             &mut stream,
             &Request::Paths {
                 epoch,
-                deadline_ms: Some(5_000),
+                deadline_ms: None,
                 pairs,
             },
         )? {

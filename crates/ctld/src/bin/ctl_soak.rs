@@ -573,7 +573,7 @@ impl Harness {
             let feeder = self.feeder.as_mut().ok_or("no feeder client")?;
             match feeder.submit_fault(batch_id, &changes) {
                 Ok(applied) => {
-                    let epoch = feeder.last_epoch();
+                    let epoch = feeder.last_epoch().unwrap_or(0);
                     self.last_acked = self.last_acked.max(epoch);
                     self.ledger.acks.push(BatchAck {
                         batch_id,

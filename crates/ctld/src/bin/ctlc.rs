@@ -6,7 +6,7 @@
 //! ctlc --socket S digest
 //! ctlc --socket S tick 5000
 //! ctlc --socket S fault 3 link-down:17 switch-down:2:1
-//! ctlc --socket S paths [--epoch N] [--deadline-ms N] 0:63 12:3
+//! ctlc --socket S paths [--epoch N] 0:63 12:3
 //! ctlc --socket S chaos on|off
 //! ctlc --socket S shutdown
 //! ```
@@ -18,7 +18,10 @@
 //!
 //! All socket handling — framing, reconnect, overload backoff — lives
 //! in [`lmpr_ctld::Client`]; this binary only parses arguments and
-//! formats output.
+//! formats output. Reads (`status`, `digest`, `paths`) are answered from
+//! the daemon's last published epoch, without waiting for a
+//! reconvergence in progress; writes (`fault`, `tick`, `chaos`,
+//! `shutdown`) queue for its controller thread.
 
 #![forbid(unsafe_code)]
 
@@ -90,9 +93,12 @@ fn run() -> Result<i32, String> {
         }
     }
     if endpoints.is_empty() || rest.is_empty() {
-        return Err("usage: ctlc (--socket PATH | --endpoints A,B,...) \
-             <status|digest|tick|fault|paths|chaos|shutdown> ..."
-            .to_owned());
+        return Err(
+            "usage: ctlc (--socket PATH | --endpoints A,B,...) <command>\n  \
+             reads:  status | digest | paths [--epoch N] SRC:DST...\n  \
+             writes: tick T | fault ID CHANGE... | chaos on|off | shutdown"
+                .to_owned(),
+        );
     }
     let mut client = Client::with_config(ClientConfig::with_endpoints(endpoints));
 
@@ -136,7 +142,6 @@ fn run() -> Result<i32, String> {
         }
         "paths" => {
             let mut epoch: Option<u64> = None;
-            let mut deadline_ms = None;
             let mut pairs = Vec::new();
             let mut j = 0;
             while j < tail.len() {
@@ -147,15 +152,6 @@ fn run() -> Result<i32, String> {
                                 .ok_or("--epoch requires a value")?
                                 .parse()
                                 .map_err(|e| format!("bad epoch: {e}"))?,
-                        );
-                        j += 2;
-                    }
-                    "--deadline-ms" => {
-                        deadline_ms = Some(
-                            tail.get(j + 1)
-                                .ok_or("--deadline-ms requires a value")?
-                                .parse()
-                                .map_err(|e| format!("bad deadline: {e}"))?,
                         );
                         j += 2;
                     }
@@ -172,7 +168,7 @@ fn run() -> Result<i32, String> {
             };
             Request::Paths {
                 epoch,
-                deadline_ms,
+                deadline_ms: None,
                 pairs,
             }
         }

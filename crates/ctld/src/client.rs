@@ -11,9 +11,10 @@
 //!   is re-issued at the epoch the rejection itself reported (every
 //!   typed error carries the server's current epoch, so no extra
 //!   status round trip is needed);
-//! * **overload backoff** — a typed `overload` rejection is retried
-//!   after a capped exponential delay, because the server sheds load
-//!   by design and the client is expected to pace itself;
+//! * **overload backoff** — a typed `overload` rejection (a full write
+//!   queue, or a server shutting down) is retried after a capped
+//!   exponential delay, because the server sheds load by design and
+//!   the client is expected to pace itself;
 //! * **idempotent fault submission** — [`Client::submit_fault`] keeps
 //!   resubmitting the same `batch_id` across reconnects until the
 //!   daemon acknowledges it; the controller's at-least-once dedup
@@ -127,7 +128,7 @@ pub enum ClientError {
         last: String,
     },
     /// A typed server rejection that retrying cannot fix
-    /// (`bad-request`, `deadline`).
+    /// (`bad-request`).
     Rejected {
         /// The typed error code.
         code: ErrorCode,
@@ -199,8 +200,9 @@ pub struct Client {
     endpoint_ix: usize,
     counters: FaultCounters,
     stats: ClientStats,
-    /// The server epoch most recently seen in any reply.
-    last_epoch: u64,
+    /// The server epoch most recently seen in any reply that carried
+    /// one (`None` until then).
+    last_epoch: Option<u64>,
     /// The newest generation lease seen in any reply (0 = none yet).
     last_gen: u64,
 }
@@ -230,7 +232,7 @@ impl Client {
             endpoint_ix: 0,
             counters: FaultCounters::new(),
             stats: ClientStats::default(),
-            last_epoch: 0,
+            last_epoch: None,
             last_gen: 0,
         }
     }
@@ -246,8 +248,10 @@ impl Client {
         self.counters.clone()
     }
 
-    /// The server epoch most recently seen in any reply.
-    pub fn last_epoch(&self) -> u64 {
+    /// The server epoch most recently seen in any reply that carried
+    /// one; `None` before the first such reply. Epoch 0 is a real epoch
+    /// (genesis), not "never seen".
+    pub fn last_epoch(&self) -> Option<u64> {
         self.last_epoch
     }
 
@@ -337,8 +341,14 @@ impl Client {
         if result.is_err() {
             self.conn = None;
         }
-        if let Ok((_, resp)) = &result {
-            self.last_epoch = resp.epoch_mode().0;
+        // A reply in mode "unknown" (a server shutting down) was stamped
+        // by no controller: it reports no epoch and no lease.
+        if let Some((_, resp)) = result
+            .as_ref()
+            .ok()
+            .filter(|(_, r)| r.epoch_mode().1 != "unknown")
+        {
+            self.last_epoch = Some(resp.epoch_mode().0);
             if let Some(g) = resp.gen() {
                 if g > self.last_gen {
                     self.last_gen = g;
@@ -424,16 +434,16 @@ impl Client {
     /// epoch this client has seen (or fetched via `status` when it has
     /// seen none); an `epoch-fenced` rejection is retried at the epoch
     /// the rejection reported, so a reconvergence between fetch and
-    /// query costs one extra round trip, never an error.
+    /// query costs one extra round trip, never an error. `deadline_ms`
+    /// is sent as given and ignored by the server (reads never queue).
     pub fn paths(
         &mut self,
         pairs: &[(u32, u32)],
         deadline_ms: Option<u64>,
     ) -> Result<(u64, Vec<Vec<u64>>), ClientError> {
-        let mut epoch = if self.last_epoch > 0 {
-            self.last_epoch
-        } else {
-            self.current_epoch()?
+        let mut epoch = match self.last_epoch {
+            Some(epoch) => epoch,
+            None => self.current_epoch()?,
         };
         let max = self.cfg.retry.max_attempts.max(1);
         for _ in 0..max {

@@ -23,13 +23,16 @@
 //!   last-good epoch (typed `degraded` status in every reply) and
 //!   retries reconvergence under capped exponential backoff on the
 //!   logical clock.
-//! * **Bounded queues, deadlines, fencing** ([`server`], [`wire`]):
-//!   queries travel over a length-prefixed socket protocol, carry the
-//!   client's epoch (cross-epoch batches are rejected with a typed
-//!   `epoch-fenced` error so readers never mix two generations of
-//!   LFTs) and an optional deadline; the server's work queue is
-//!   bounded, with overflow rejected as a typed `overload` error
-//!   instead of unbounded latency.
+//! * **Snapshot reads, a bounded write queue, fencing** ([`server`],
+//!   [`wire`]): queries travel over a length-prefixed socket protocol
+//!   and carry the client's epoch. Every mutating call publishes an
+//!   immutable snapshot of the committed epoch
+//!   ([`controller::Published`]); reads are answered from it on the
+//!   connection threads and never wait behind a certification, and a
+//!   cross-epoch batch is rejected with a typed `epoch-fenced` error so
+//!   readers never mix two generations of LFTs. Only writes queue for
+//!   the controller thread; the queue is bounded, with overflow
+//!   rejected as a typed `overload` error instead of unbounded latency.
 //!
 //! * **Deterministic failure injection** ([`failpoint`]): every
 //!   filesystem call the checkpoint store makes and every stream

@@ -1,27 +1,41 @@
-//! Unix-domain-socket front end: bounded queue, deadlines, typed
-//! rejections.
+//! Unix-domain-socket front end: reads from a published snapshot,
+//! writes through one bounded queue.
 //!
 //! One thread — the caller of [`serve`] — owns the [`Controller`] and
-//! drains a bounded work queue. Connection threads only parse frames
-//! and enqueue; when the queue is full they answer the typed
-//! `overload` rejection **themselves**, so backpressure costs the
-//! controller nothing. A request carrying `deadline_ms` that is still
-//! queued when the budget lapses is answered with the typed `deadline`
-//! rejection at dequeue instead of being served late.
+//! drains a bounded queue that carries **writes only**: `fault`,
+//! `tick`, `chaos`, `subscribe` and `shutdown`. After each write it
+//! stores the controller's new [`Published`] snapshot in a shared slot,
+//! and only then sends the write's reply. That order is the
+//! read-your-writes guarantee: once a client holds the ack of epoch
+//! *e + 1*, no read on any connection answers *e*.
 //!
-//! Shutdown is orderly: the `shutdown` op is acknowledged, the queue
-//! is closed, the acceptor is unblocked with a self-connection, and
+//! Reads — `hello`, `status`, `digest` and `paths` — never enter the
+//! queue. The connection thread that parsed one clones the snapshot's
+//! `Arc` out of the slot (the lock is held for that clone only) and
+//! answers from it, fencing `paths` against *that* snapshot's epoch. A
+//! read therefore never waits behind a certification, and never mixes
+//! two epochs: it is a complete answer at the epoch it names, or
+//! `epoch-fenced`. When the write queue is full the connection thread
+//! answers the typed `overload` rejection itself, so backpressure costs
+//! the controller nothing.
+//!
+//! When the controller loop ends — a served `shutdown` or a fatal
+//! storage error — it empties the slot. Every connection thread then
+//! answers its next request with the typed "server shutting down" error
+//! and closes, so a dead incarnation never keeps answering from its
+//! last snapshot. Shutdown is otherwise orderly: the `shutdown` op is
+//! acknowledged, the acceptor is unblocked with a self-connection, and
 //! the socket file is removed.
 
-use crate::controller::{Controller, CtlError, Mode};
+use crate::controller::{Controller, CtlError, Mode, Published, StatusInfo};
 use crate::failpoint::{FailPlan, FaultCounters, FaultyStream};
-use crate::wire::{read_frame, write_frame, ErrorCode, Request, Response, MAX_FRAME};
-use std::io::{self, Read, Write};
+use crate::wire::{read_frame, write_frame, ChangeSpec, ErrorCode, Request, Response, MAX_FRAME};
+use std::io::{self, Read};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Server tuning.
@@ -29,7 +43,8 @@ use std::time::Instant;
 pub struct ServerConfig {
     /// Path of the Unix domain socket to bind.
     pub socket_path: PathBuf,
-    /// Bound on queued requests; overflow is rejected as `overload`.
+    /// Bound on queued writes; overflow is rejected as `overload`.
+    /// Reads are never queued.
     pub queue_cap: usize,
     /// When set, every accepted connection is wrapped in a
     /// [`FaultyStream`] driven by a per-connection child of this plan
@@ -39,7 +54,7 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// A server on `socket_path` with a 64-request queue.
+    /// A server on `socket_path` with a 64-write queue.
     pub fn new(socket_path: impl Into<PathBuf>) -> Self {
         ServerConfig {
             socket_path: socket_path.into(),
@@ -49,10 +64,40 @@ impl ServerConfig {
     }
 }
 
-/// One queued request with its reply channel and enqueue time.
+/// The snapshot every read is answered from; `None` once the controller
+/// loop has ended.
+type Slot = Mutex<Option<Arc<Published>>>;
+
+fn load(slot: &Slot) -> Option<Arc<Published>> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner).clone()
+}
+
+fn store(slot: &Slot, snapshot: Option<Arc<Published>>) {
+    *slot.lock().unwrap_or_else(PoisonError::into_inner) = snapshot;
+}
+
+/// A request only the controller thread can serve: the queue's payload.
+enum Write {
+    Fault {
+        batch_id: u64,
+        gen: Option<u64>,
+        changes: Vec<ChangeSpec>,
+    },
+    Subscribe {
+        gen: u64,
+    },
+    Tick {
+        to: u64,
+    },
+    Chaos {
+        fail_certs: bool,
+    },
+    Shutdown,
+}
+
+/// One queued write with its reply channel.
 struct Job {
-    req: Request,
-    enqueued: Instant,
+    write: Write,
     reply: SyncSender<Response>,
 }
 
@@ -63,80 +108,107 @@ fn degraded_attempts(mode: Mode) -> u64 {
     }
 }
 
-/// Map a controller-level rejection onto the wire.
-fn error_response(ctl: &Controller, e: &CtlError) -> Response {
-    let code = match e {
-        CtlError::EpochFenced { .. } => ErrorCode::EpochFenced,
-        CtlError::FeedGap { .. } | CtlError::BadPair(..) => ErrorCode::BadRequest,
-        _ => ErrorCode::BadRequest,
-    };
+/// A typed rejection stamped with `status`'s epoch, lease and mode.
+fn reject(status: &StatusInfo, code: ErrorCode, message: String) -> Response {
     Response::Error {
         code,
-        epoch: ctl.epoch(),
-        gen: ctl.generation(),
-        mode: ctl.mode().tag().to_owned(),
-        message: e.to_string(),
+        epoch: status.epoch,
+        gen: status.generation,
+        mode: status.mode.tag().to_owned(),
+        message,
     }
+}
+
+/// Map a controller-level rejection onto the wire.
+fn error_response(status: &StatusInfo, e: &CtlError) -> Response {
+    let code = match e {
+        CtlError::EpochFenced { .. } => ErrorCode::EpochFenced,
+        _ => ErrorCode::BadRequest,
+    };
+    reject(status, code, e.to_string())
 }
 
 /// The typed `gen-fenced` rejection, always reporting the server's own
 /// lease so the client can adopt it — or recognize a deposed primary.
-fn gen_fenced(ctl: &Controller, client_gen: u64, what: &str) -> Response {
+fn gen_fenced(status: &StatusInfo, client_gen: u64, what: &str) -> Response {
+    let message = format!(
+        "generation fence: {what} at generation {client_gen}, server lease is {}",
+        status.generation
+    );
+    reject(status, ErrorCode::GenFenced, message)
+}
+
+/// The answer of a connection whose controller is gone. It carries no
+/// epoch (`"unknown"` mode): there is no snapshot left to stamp it.
+fn shutting_down() -> Response {
     Response::Error {
-        code: ErrorCode::GenFenced,
-        epoch: ctl.epoch(),
-        gen: ctl.generation(),
-        mode: ctl.mode().tag().to_owned(),
-        message: format!(
-            "generation fence: {what} at generation {client_gen}, \
-             server lease is {}",
-            ctl.generation()
-        ),
+        code: ErrorCode::Overload,
+        epoch: 0,
+        gen: 0,
+        mode: "unknown".to_owned(),
+        message: "server shutting down".to_owned(),
     }
 }
 
-/// Execute one request against the controller. Storage failures are
+/// Answer `req` from `snap` when it is a read; hand it back as a
+/// [`Write`] for the controller queue otherwise. Every stamp of a read
+/// reply — epoch, lease, mode — is the snapshot's.
+fn answer_read(snap: &Published, req: Request) -> Result<Response, Write> {
+    let status = snap.status();
+    let mode = status.mode.tag().to_owned();
+    Ok(match req {
+        Request::Hello | Request::Status => Response::Status {
+            epoch: status.epoch,
+            mode,
+            gen: status.generation,
+            now: status.now,
+            pending: status.pending,
+            committed_batch_id: status.committed_batch_id,
+            reconv_count: status.reconv_count,
+            reconv_total_us: status.reconv_total_us,
+            reconv_max_us: status.reconv_max_us,
+            degraded_attempts: degraded_attempts(status.mode),
+        },
+        Request::Digest => Response::Digest {
+            epoch: status.epoch,
+            mode,
+            digest: format!("{:016x}", snap.digest()),
+        },
+        // `deadline_ms` is accepted and ignored: a read is answered on
+        // arrival, so there is no queueing for a budget to bound.
+        Request::Paths { epoch, pairs, .. } => match snap.paths(epoch, &pairs) {
+            Ok(paths) => Response::Paths {
+                epoch: status.epoch,
+                mode,
+                paths,
+            },
+            Err(e) => error_response(status, &e),
+        },
+        Request::Fault {
+            batch_id,
+            gen,
+            changes,
+        } => {
+            return Err(Write::Fault {
+                batch_id,
+                gen,
+                changes,
+            })
+        }
+        Request::Subscribe { gen, .. } => return Err(Write::Subscribe { gen }),
+        Request::Tick { to } => return Err(Write::Tick { to }),
+        Request::Chaos { fail_certs } => return Err(Write::Chaos { fail_certs }),
+        Request::Shutdown => return Err(Write::Shutdown),
+    })
+}
+
+/// Execute one write against the controller. Storage failures are
 /// returned as `Err` to stop the server (a controller that cannot
 /// checkpoint must not keep publishing epochs); everything
 /// client-provoked is a typed in-band response.
-fn dispatch(ctl: &mut Controller, req: &Request) -> Result<Response, CtlError> {
-    let mode = ctl.mode().tag().to_owned();
-    match req {
-        Request::Hello | Request::Status => {
-            let s = ctl.status();
-            Ok(Response::Status {
-                epoch: s.epoch,
-                mode,
-                gen: s.generation,
-                now: s.now,
-                pending: s.pending,
-                committed_batch_id: s.committed_batch_id,
-                reconv_count: s.reconv_count,
-                reconv_total_us: s.reconv_total_us,
-                reconv_max_us: s.reconv_max_us,
-                degraded_attempts: degraded_attempts(s.mode),
-            })
-        }
-        Request::Digest => {
-            let digest = ctl.digest();
-            Ok(Response::Digest {
-                epoch: ctl.epoch(),
-                mode,
-                digest: format!("{digest:016x}"),
-            })
-        }
-        Request::Paths { epoch, pairs, .. } => match ctl.paths(*epoch, pairs) {
-            Ok(paths) => Ok(Response::Paths {
-                epoch: ctl.epoch(),
-                mode,
-                paths,
-            }),
-            Err(e @ (CtlError::EpochFenced { .. } | CtlError::BadPair(..))) => {
-                Ok(error_response(ctl, &e))
-            }
-            Err(e) => Err(e),
-        },
-        Request::Fault {
+fn dispatch(ctl: &mut Controller, write: &Write) -> Result<Response, CtlError> {
+    match write {
+        Write::Fault {
             batch_id,
             gen,
             changes,
@@ -146,11 +218,8 @@ fn dispatch(ctl: &mut Controller, req: &Request) -> Result<Response, CtlError> {
             // trigger a reconvergence on a deposed primary.
             if let Some(g) = gen {
                 if *g != ctl.generation() {
-                    return Ok(gen_fenced(
-                        ctl,
-                        *g,
-                        format!("fault batch {batch_id}").as_str(),
-                    ));
+                    let what = format!("fault batch {batch_id}");
+                    return Ok(gen_fenced(&ctl.status(), *g, &what));
                 }
             }
             match ctl.ingest(*batch_id, changes) {
@@ -162,26 +231,26 @@ fn dispatch(ctl: &mut Controller, req: &Request) -> Result<Response, CtlError> {
                     applied,
                 }),
                 Err(e @ (CtlError::FeedGap { .. } | CtlError::BadChange(_))) => {
-                    Ok(error_response(ctl, &e))
+                    Ok(error_response(&ctl.status(), &e))
                 }
                 Err(e) => Err(e),
             }
         }
-        Request::Subscribe { gen, .. } => {
+        Write::Subscribe { gen } => {
             // A standby that has followed a promotion outranks this
             // primary: refusing to feed it is what keeps a deposed
             // primary from rolling a newer-generation standby back.
             if *gen > ctl.generation() {
-                return Ok(gen_fenced(ctl, *gen, "subscription"));
+                return Ok(gen_fenced(&ctl.status(), *gen, "subscription"));
             }
             let (cp, _) = ctl.last_commit();
             Ok(Response::Replicate {
-                mode,
+                mode: ctl.mode().tag().to_owned(),
                 cp,
                 changes: Vec::new(),
             })
         }
-        Request::Tick { to } => {
+        Write::Tick { to } => {
             ctl.tick(*to)?;
             Ok(Response::Tick {
                 epoch: ctl.epoch(),
@@ -189,17 +258,17 @@ fn dispatch(ctl: &mut Controller, req: &Request) -> Result<Response, CtlError> {
                 now: ctl.now(),
             })
         }
-        Request::Chaos { fail_certs } => {
+        Write::Chaos { fail_certs } => {
             ctl.set_chaos_fail_certs(*fail_certs);
             Ok(Response::Chaos {
                 epoch: ctl.epoch(),
-                mode,
+                mode: ctl.mode().tag().to_owned(),
                 fail_certs: *fail_certs,
             })
         }
-        Request::Shutdown => Ok(Response::Shutdown {
+        Write::Shutdown => Ok(Response::Shutdown {
             epoch: ctl.epoch(),
-            mode,
+            mode: ctl.mode().tag().to_owned(),
         }),
     }
 }
@@ -210,18 +279,20 @@ fn dispatch(ctl: &mut Controller, req: &Request) -> Result<Response, CtlError> {
 /// will resync through its store on redial.
 const SUBSCRIBER_BUFFER: usize = 32;
 
-/// Handle one connection: read frames, enqueue jobs, relay replies.
-/// Runs until the peer closes, a frame is unreadable, or the server
-/// shuts down. `shutdown_ack` fires once a `shutdown` acknowledgement
-/// has actually been written to the peer, so [`serve`] can let the
-/// process exit without racing the reply onto the wire.
+/// Handle one connection: read frames, answer reads from the published
+/// snapshot, enqueue writes and relay their replies. Runs until the
+/// peer closes, a frame is unreadable, or the server shuts down.
+/// `shutdown_ack` fires once a `shutdown` acknowledgement has actually
+/// been written to the peer, so [`serve`] can let the process exit
+/// without racing the reply onto the wire.
 ///
 /// A `subscribe` request flips the connection into replication mode:
 /// after the initial snapshot reply, the controller keeps the reply
 /// sender and pushes a `replicate` frame per committed epoch, which
 /// this thread relays until either side drops.
-fn handle_connection<S: Read + Write>(
+fn handle_connection<S: Read + io::Write>(
     mut stream: S,
+    slot: Arc<Slot>,
     queue: SyncSender<Job>,
     shutdown_ack: SyncSender<()>,
 ) {
@@ -230,68 +301,59 @@ fn handle_connection<S: Read + Write>(
             Ok(p) => p,
             Err(_) => return, // EOF or broken peer; nothing to answer
         };
+        // Once the controller is gone the answer is the last one this
+        // connection gives: close afterwards so the peer's next attempt
+        // fails at the stream layer and redials instead of conversing
+        // with a zombie connection thread forever.
+        let Some(snap) = load(&slot) else {
+            let _ = write_frame(&mut stream, shutting_down().to_json().as_bytes());
+            return;
+        };
+        let status = snap.status();
         let req = match Request::decode(&payload) {
             Ok(r) => r,
             Err(e) => {
-                let resp = Response::Error {
-                    code: ErrorCode::BadRequest,
-                    epoch: 0,
-                    gen: 0,
-                    mode: "unknown".to_owned(),
-                    message: e.to_string(),
-                };
+                let resp = reject(status, ErrorCode::BadRequest, e.to_string());
                 if write_frame(&mut stream, resp.to_json().as_bytes()).is_err() {
                     return;
                 }
                 continue;
             }
         };
-        let is_shutdown = matches!(req, Request::Shutdown);
-        let is_subscribe = matches!(req, Request::Subscribe { .. });
-        let (rtx, rrx) = sync_channel(if is_subscribe { SUBSCRIBER_BUFFER } else { 1 });
-        let job = Job {
-            req,
-            enqueued: Instant::now(),
-            reply: rtx,
-        };
-        // Once the controller is gone the answer below is the last one
-        // this connection can give: close afterwards so the peer's next
-        // attempt fails at the stream layer and redials instead of
-        // conversing with a zombie connection thread forever.
         let mut dying = false;
-        let resp = match queue.try_send(job) {
-            Ok(()) => match rrx.recv() {
-                Ok(resp) => resp,
-                Err(_) => {
-                    dying = true;
-                    Response::Error {
-                        code: ErrorCode::Overload,
-                        epoch: 0,
-                        gen: 0,
-                        mode: "unknown".to_owned(),
-                        message: "server shutting down".to_owned(),
+        let mut subscription = None;
+        let mut is_shutdown = false;
+        let resp = match answer_read(&snap, req) {
+            Ok(resp) => resp,
+            Err(write) => {
+                is_shutdown = matches!(write, Write::Shutdown);
+                let is_subscribe = matches!(write, Write::Subscribe { .. });
+                let (rtx, rrx) = sync_channel(if is_subscribe { SUBSCRIBER_BUFFER } else { 1 });
+                match queue.try_send(Job { write, reply: rtx }) {
+                    Ok(()) => match rrx.recv() {
+                        Ok(resp) => {
+                            if is_subscribe && matches!(resp, Response::Replicate { .. }) {
+                                subscription = Some(rrx);
+                            }
+                            resp
+                        }
+                        Err(_) => {
+                            dying = true;
+                            shutting_down()
+                        }
+                    },
+                    Err(TrySendError::Full(_)) => reject(
+                        status,
+                        ErrorCode::Overload,
+                        "work queue full; retry later".to_owned(),
+                    ),
+                    Err(TrySendError::Disconnected(_)) => {
+                        dying = true;
+                        shutting_down()
                     }
-                }
-            },
-            Err(TrySendError::Full(_)) => Response::Error {
-                code: ErrorCode::Overload,
-                epoch: 0,
-                gen: 0,
-                mode: "unknown".to_owned(),
-                message: "work queue full; retry later".to_owned(),
-            },
-            Err(TrySendError::Disconnected(_)) => {
-                dying = true;
-                Response::Error {
-                    code: ErrorCode::Overload,
-                    epoch: 0,
-                    gen: 0,
-                    mode: "unknown".to_owned(),
-                    message: "server shutting down".to_owned(),
                 }
             }
         };
-        let accepted_subscription = is_subscribe && matches!(resp, Response::Replicate { .. });
         // A legal request can still produce a reply too large for the
         // frame bound (a big paths batch fans out to several path ids
         // per pair). Letting `write_frame` trip on it would close the
@@ -304,7 +366,7 @@ fn handle_connection<S: Read + Write>(
             payload = Response::Error {
                 code: ErrorCode::BadRequest,
                 epoch,
-                gen: 0,
+                gen: resp.gen().unwrap_or(status.generation),
                 mode: mode.to_owned(),
                 message: format!(
                     "reply of {} bytes exceeds the {MAX_FRAME}-byte frame bound; \
@@ -321,13 +383,13 @@ fn handle_connection<S: Read + Write>(
         if !written || dying {
             return;
         }
-        if accepted_subscription {
+        if let Some(pushes) = subscription {
             // Replication relay: block on controller pushes and stream
             // them out until the controller drops the sender (subscriber
             // fell behind or server shut down) or the write fails (peer
             // gone). Either way the connection is done — a standby that
             // lost its stream resyncs from its own store on redial.
-            while let Ok(push) = rrx.recv() {
+            while let Ok(push) = pushes.recv() {
                 if write_frame(&mut stream, push.to_json().as_bytes()).is_err() {
                     return;
                 }
@@ -337,45 +399,30 @@ fn handle_connection<S: Read + Write>(
     }
 }
 
-/// Drain the queue against the controller until a `shutdown` request.
-/// Returns `true` when a shutdown was served (as opposed to every
-/// sender dropping).
+/// Drain the write queue against the controller until a `shutdown`
+/// request. Returns `true` when a shutdown was served (as opposed to
+/// every sender dropping).
+///
+/// After every write the new snapshot is stored in `slot` *before* the
+/// reply is sent (read-your-writes); a shutdown or a fatal error empties
+/// the slot instead, so no connection answers from a dead controller.
 ///
 /// Accepted `subscribe` connections are retained here as push targets:
-/// after any request that advanced the `(generation, epoch)` lease, the
+/// after any write that advanced the `(generation, epoch)` lease, the
 /// last committed checkpoint and its fault batch are fanned out with
 /// `try_send`. A subscriber whose buffer is full (or whose relay thread
 /// died) is dropped on the spot — replication must never apply
 /// backpressure to the control plane.
-fn controller_loop(ctl: &mut Controller, rx: Receiver<Job>) -> Result<bool, CtlError> {
+fn controller_loop(ctl: &mut Controller, rx: Receiver<Job>, slot: &Slot) -> Result<bool, CtlError> {
     let mut subscribers: Vec<SyncSender<Response>> = Vec::new();
     while let Ok(job) = rx.recv() {
-        // Deadline check happens at dequeue: a request that waited past
-        // its budget is rejected, not served late.
-        if let Request::Paths {
-            deadline_ms: Some(ms),
-            ..
-        } = &job.req
-        {
-            let elapsed = job.enqueued.elapsed().as_millis() as u64;
-            // A zero budget means "answer only if dequeued instantly"
-            // and is always expired by the time we look.
-            if *ms == 0 || elapsed > *ms {
-                let _ = job.reply.send(Response::Error {
-                    code: ErrorCode::Deadline,
-                    epoch: ctl.epoch(),
-                    gen: ctl.generation(),
-                    mode: ctl.mode().tag().to_owned(),
-                    message: format!("queued past the {ms} ms deadline"),
-                });
-                continue;
-            }
-        }
-        let shutdown = matches!(job.req, Request::Shutdown);
-        let is_subscribe = matches!(job.req, Request::Subscribe { .. });
+        let shutdown = matches!(job.write, Write::Shutdown);
         let lease_before = (ctl.generation(), ctl.epoch());
-        let resp = dispatch(ctl, &job.req)?;
-        let accepted_subscription = is_subscribe && matches!(resp, Response::Replicate { .. });
+        let result = dispatch(ctl, &job.write);
+        store(slot, (result.is_ok() && !shutdown).then(|| ctl.published()));
+        let resp = result?;
+        let accepted_subscription = matches!(job.write, Write::Subscribe { .. })
+            && matches!(resp, Response::Replicate { .. });
         let subscriber = accepted_subscription.then(|| job.reply.clone());
         let _ = job.reply.send(resp);
         if let Some(s) = subscriber {
@@ -394,13 +441,15 @@ fn controller_loop(ctl: &mut Controller, rx: Receiver<Job>) -> Result<bool, CtlE
             return Ok(true);
         }
     }
+    store(slot, None);
     Ok(false)
 }
 
 /// Run the server until a `shutdown` request (or a fatal storage
 /// error). Owns the controller for the duration; the acceptor and
-/// per-connection threads are detached workers feeding the bounded
-/// queue this thread drains.
+/// per-connection threads are detached workers that answer reads from
+/// the published snapshot and feed writes to the bounded queue this
+/// thread drains.
 pub fn serve(mut ctl: Controller, cfg: ServerConfig) -> Result<(), io::Error> {
     // The controller itself runs on logical ticks only (DET-TIME); the
     // server is the approved wall-clock module and injects the
@@ -411,12 +460,14 @@ pub fn serve(mut ctl: Controller, cfg: ServerConfig) -> Result<(), io::Error> {
     }));
     let _ = std::fs::remove_file(&cfg.socket_path);
     let listener = UnixListener::bind(&cfg.socket_path)?;
+    let slot: Arc<Slot> = Arc::new(Mutex::new(Some(ctl.published())));
     let (tx, rx) = sync_channel::<Job>(cfg.queue_cap.max(1));
     let (ack_tx, ack_rx) = sync_channel::<()>(1);
     let shutting_down = Arc::new(AtomicBool::new(false));
 
     let acceptor = {
         let shutting_down = Arc::clone(&shutting_down);
+        let slot = Arc::clone(&slot);
         let wire_faults = cfg.wire_faults;
         let counters = FaultCounters::new();
         std::thread::spawn(move || {
@@ -426,8 +477,7 @@ pub fn serve(mut ctl: Controller, cfg: ServerConfig) -> Result<(), io::Error> {
                     return;
                 }
                 let Ok(stream) = stream else { continue };
-                let queue = tx.clone();
-                let ack = ack_tx.clone();
+                let (slot, queue, ack) = (Arc::clone(&slot), tx.clone(), ack_tx.clone());
                 match wire_faults {
                     Some(plan) if plan.armed() => {
                         // Each connection gets its own derived plan so its
@@ -435,10 +485,10 @@ pub fn serve(mut ctl: Controller, cfg: ServerConfig) -> Result<(), io::Error> {
                         // accept order, not on frame interleaving.
                         let faulty =
                             FaultyStream::new(stream, plan.derive(conn_index), counters.clone());
-                        std::thread::spawn(move || handle_connection(faulty, queue, ack));
+                        std::thread::spawn(move || handle_connection(faulty, slot, queue, ack));
                     }
                     _ => {
-                        std::thread::spawn(move || handle_connection(stream, queue, ack));
+                        std::thread::spawn(move || handle_connection(stream, slot, queue, ack));
                     }
                 }
                 conn_index += 1;
@@ -446,7 +496,7 @@ pub fn serve(mut ctl: Controller, cfg: ServerConfig) -> Result<(), io::Error> {
         })
     };
 
-    let result = controller_loop(&mut ctl, rx);
+    let result = controller_loop(&mut ctl, rx, &slot);
 
     // The shutdown acknowledgement is written by a detached connection
     // thread; wait for it so a process exit right after this return

@@ -20,8 +20,8 @@
 //! rather than refusing to start, unless no checkpoint survives.
 //!
 //! The checkpoint deliberately stores only *root* state: epoch, logical
-//! clock, feed cursor, and the committed fault view. Cached selections
-//! are derived state and are recomputed on demand; this is what makes
+//! clock, feed cursor, and the committed fault view. Selections are
+//! derived state and are recomputed on demand; this is what makes
 //! the restart-equivalence guarantee a pure function of the fault feed.
 
 use crate::failpoint::{OsStoreIo, StoreIo};

@@ -226,8 +226,9 @@ pub enum Request {
     Paths {
         /// The epoch the client believes is current.
         epoch: u64,
-        /// Optional queue-latency budget in milliseconds; a batch still
-        /// queued past it is rejected with a typed `deadline` error.
+        /// Accepted for compatibility and ignored: reads are answered
+        /// from the published snapshot on arrival and never queue, so
+        /// there is no wait for a budget to bound.
         deadline_ms: Option<u64>,
         /// The `(src, dst)` pairs to answer, in order.
         pairs: Vec<(u32, u32)>,
@@ -359,12 +360,12 @@ impl Request {
 /// the daemon never closes a connection as its answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
-    /// The bounded work queue is full; retry later.
+    /// The bounded write queue is full, or the server is shutting
+    /// down; retry later (a shutting-down server also closes the
+    /// connection, so the retry redials).
     Overload,
     /// The batch's epoch is not the server's current epoch.
     EpochFenced,
-    /// The batch sat in the queue past its deadline.
-    Deadline,
     /// The request's generation fence does not match the primary's
     /// lease: either the client is stale (a promotion happened — adopt
     /// the reported `gen` and retry) or the *server* is a deposed
@@ -381,7 +382,6 @@ impl ErrorCode {
         match self {
             ErrorCode::Overload => "overload",
             ErrorCode::EpochFenced => "epoch-fenced",
-            ErrorCode::Deadline => "deadline",
             ErrorCode::GenFenced => "gen-fenced",
             ErrorCode::BadRequest => "bad-request",
         }
@@ -391,7 +391,6 @@ impl ErrorCode {
         match tag {
             "overload" => Some(ErrorCode::Overload),
             "epoch-fenced" => Some(ErrorCode::EpochFenced),
-            "deadline" => Some(ErrorCode::Deadline),
             "gen-fenced" => Some(ErrorCode::GenFenced),
             "bad-request" => Some(ErrorCode::BadRequest),
             _ => None,

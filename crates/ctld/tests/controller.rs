@@ -2,8 +2,9 @@
 //! recovery and kill-and-resume byte identity.
 
 use lmpr_codec::{fnv, splitmix};
+use lmpr_core::forwarding::{ForwardingTables, SlotOrder};
 use lmpr_core::{Router, RouterKind, SelectionEngine};
-use lmpr_ctld::{ChangeSpec, Controller, CtlConfig, CtlError, Mode};
+use lmpr_ctld::{serve, ChangeSpec, Client, Controller, CtlConfig, CtlError, Mode, ServerConfig};
 use std::path::PathBuf;
 use xgft::{FaultSchedule, FaultSet, PathId, PnId, Topology};
 
@@ -281,7 +282,7 @@ fn kill_and_resume_replays_the_schedule_byte_identically() {
 #[test]
 fn out_of_range_pairs_are_typed_errors() {
     let cfg = base_cfg("badpair");
-    let (mut ctl, _) = Controller::start(cfg.clone()).expect("start");
+    let (ctl, _) = Controller::start(cfg.clone()).expect("start");
     let n = ctl.topology().num_pns();
     match ctl.paths(0, &[(0, n)]) {
         Err(CtlError::BadPair(0, d)) => assert_eq!(d, n),
@@ -318,43 +319,146 @@ fn draw_batch(topo: &Topology, view: &FaultSet, rng: &mut u64) -> Vec<ChangeSpec
         .collect()
 }
 
-/// ROADMAP 6(a), in-process slice — the answers agree. "Which
-/// `min(K, X)` paths serve this pair under this fault set?" is asked of
-/// the controller's serving cache, of a cold engine over the committed
-/// view, of that engine's `&self` router read, and of a warm cached
-/// engine that lived through the same change batches; after every
-/// committed epoch all four give the same list for every ordered pair
-/// (empty for a disconnected one), and the controller's digest is the
-/// one folded from the cold engine's answers.
+/// A daemon serving its own controller (a second one, fed the same
+/// batches) on a scratch socket, with a client to it.
+struct Served {
+    socket: PathBuf,
+    server: std::thread::JoinHandle<std::io::Result<()>>,
+    client: Client,
+}
+
+impl Served {
+    fn start(cfg: CtlConfig) -> Served {
+        let socket = cfg.state_dir.with_extension("sock");
+        let (ctl, _) = Controller::start(cfg).expect("served controller starts");
+        let server = {
+            let cfg = ServerConfig::new(&socket);
+            std::thread::spawn(move || serve(ctl, cfg))
+        };
+        let mut client = Client::new(&socket);
+        for _ in 0..500 {
+            if client.status().is_ok() {
+                return Served {
+                    socket,
+                    server,
+                    client,
+                };
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        panic!("server did not come up");
+    }
+
+    fn stop(mut self) {
+        self.client.shutdown().expect("shutdown");
+        self.server
+            .join()
+            .expect("server thread")
+            .expect("server exit");
+        assert!(!self.socket.exists());
+    }
+}
+
+/// A random three-level spec with asymmetric `w`: `m_i` in 2..=4 and
+/// `w_i` in 1..=3, not all equal.
+fn random_three_level_spec(rng: &mut u64) -> String {
+    let mut draw = |lo: u64, hi: u64| lo + splitmix::next(rng) % (hi - lo + 1);
+    let m: Vec<u64> = (0..3).map(|_| draw(2, 4)).collect();
+    let mut w: Vec<u64> = vec![1];
+    w.extend((0..2).map(|_| draw(1, 3)));
+    if w.iter().all(|&x| x == w[0]) {
+        w[2] += 1;
+    }
+    let list = |v: &[u64]| v.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
+    format!("xgft:{};{}", list(&m), list(&w))
+}
+
+/// The LFT realization of `kind`, where it has one whose slot walks
+/// cover the same path set as the scheme's fault-free selection: plain
+/// d-mod-k is slot 0, `disjoint(K)` is K bottom-first slots (the
+/// `lft-bottom` tables) and UMULTI is every slot. Shift-1's index
+/// arithmetic depends on the source, so no destination table can
+/// realize it on a three-level tree.
+fn lft_of(topo: &Topology, kind: RouterKind) -> Option<ForwardingTables> {
+    let k = match kind {
+        RouterKind::DModK => 1,
+        RouterKind::Disjoint(k) => k,
+        RouterKind::Umulti => topo.w_prod(topo.height()),
+        _ => return None,
+    };
+    Some(ForwardingTables::build(topo, k, SlotOrder::BottomFirst))
+}
+
+/// The answers agree. "Which `min(K, X)` paths serve
+/// this pair under this fault set?" is asked of the controller, of a
+/// cold engine over the committed view, of that engine's `&self` router
+/// read, of a warm cached engine that lived through the same change
+/// batches, of a second controller over the socket (`Client::paths`
+/// against `serve`), and — where the scheme has an LFT realization — of
+/// the forwarding-table walk. After every committed epoch all of them
+/// give the same list for every ordered pair (empty for a disconnected
+/// one; the LFT walk, being the fault-free tables, for every pair the
+/// view leaves untouched, as a set of routes), and both controllers'
+/// digests are the one folded from the cold engine's answers. It runs
+/// on `8port2tree` and on random three-level specs with asymmetric `w`.
 #[test]
 fn controller_cold_engine_router_read_and_warm_cache_agree_every_epoch() {
-    let (_, topo) = xgft::topology_by_name(TOPO).expect("topo");
-    let pairs = all_pairs(topo.num_pns());
-    let mut kinds = vec![RouterKind::DModK, RouterKind::Umulti];
-    for k in [2u64, 3, 8] {
-        kinds.push(RouterKind::ShiftOne(k));
-        kinds.push(RouterKind::Disjoint(k));
-        kinds.push(RouterKind::RandomK(k, 7 + k));
-    }
     let mut rng = 0x6A_5EED_u64;
+    let mut cases: Vec<(String, RouterKind)> = vec![
+        (TOPO.to_owned(), RouterKind::DModK),
+        (TOPO.to_owned(), RouterKind::Umulti),
+    ];
+    for k in [2u64, 3, 8] {
+        cases.push((TOPO.to_owned(), RouterKind::ShiftOne(k)));
+        cases.push((TOPO.to_owned(), RouterKind::Disjoint(k)));
+        cases.push((TOPO.to_owned(), RouterKind::RandomK(k, 7 + k)));
+    }
+    for _ in 0..3 {
+        let spec = random_three_level_spec(&mut rng);
+        for kind in [
+            RouterKind::DModK,
+            RouterKind::Disjoint(3),
+            RouterKind::ShiftOne(2),
+            RouterKind::RandomK(2, 5),
+            RouterKind::Umulti,
+        ] {
+            cases.push((spec.clone(), kind));
+        }
+    }
     let (mut cold_paths, mut read_paths, mut warm_paths) = (Vec::new(), Vec::new(), Vec::new());
-    let mut disconnected = 0u64;
-    for (i, &kind) in kinds.iter().enumerate() {
-        let cfg = CtlConfig::new(TOPO, kind, temp_dir(&format!("agree-{i}")));
+    let (mut disconnected, mut lft_checked) = (0u64, 0u64);
+    for (i, (name, kind)) in cases.iter().enumerate() {
+        let kind = *kind;
+        let (_, topo) = xgft::topology_by_name(name).expect("topo");
+        let pairs = all_pairs(topo.num_pns());
+        let lft = lft_of(&topo, kind);
+        let cfg = CtlConfig::new(name.as_str(), kind, temp_dir(&format!("agree-{i}")));
         let (mut ctl, _) = Controller::start(cfg.clone()).expect("start");
+        let served_cfg = CtlConfig::new(name.as_str(), kind, temp_dir(&format!("agree-{i}-srv")));
+        let mut served = Served::start(served_cfg.clone());
         let mut warm = SelectionEngine::cached(kind, FaultSet::new());
         for batch_id in 1..=6u64 {
             let batch = draw_batch(&topo, warm.view(), &mut rng);
             assert!(ctl.ingest(batch_id, &batch).expect("ingest"), "{batch:?}");
             assert_eq!((ctl.epoch(), ctl.mode()), (batch_id, Mode::Serving));
+            assert!(served
+                .client
+                .submit_fault(batch_id, &batch)
+                .expect("submit"));
             let changes: Vec<_> = batch.iter().map(|c| c.to_change()).collect();
             warm.apply_changes(&topo, &changes);
 
-            let served = all_answers(&mut ctl);
+            let answers = all_answers(&mut ctl);
+            let mut over_socket = Vec::with_capacity(pairs.len());
+            for chunk in pairs.chunks(512) {
+                let (epoch, rows) = served.client.paths(chunk, None).expect("socket paths");
+                assert_eq!(epoch, batch_id, "{name} {}", kind.name());
+                over_socket.extend(rows);
+            }
             let mut cold = SelectionEngine::with_view(kind, warm.view().clone());
             let mut digest = fnv::update(fnv::OFFSET, &batch_id.to_le_bytes());
-            for (&(s, d), answer) in pairs.iter().zip(&served) {
-                let at = format!("{} epoch {batch_id} ({s}, {d})", kind.name());
+            for ((&(s, d), answer), socket) in pairs.iter().zip(&answers).zip(&over_socket) {
+                let at = format!("{name} {} epoch {batch_id} ({s}, {d})", kind.name());
                 let (ps, pd) = (PnId(s), PnId(d));
                 let typed = cold.try_select(&topo, ps, pd, &mut cold_paths);
                 cold.fill_paths(&topo, ps, pd, &mut read_paths);
@@ -362,8 +466,23 @@ fn controller_cold_engine_router_read_and_warm_cache_agree_every_epoch() {
                 assert_eq!(typed.is_err(), cold_paths.is_empty(), "{at}");
                 let ids: Vec<u64> = cold_paths.iter().map(|p: &PathId| p.0).collect();
                 assert_eq!(answer, &ids, "controller vs cold engine, {at}");
+                assert_eq!(socket, &ids, "socket vs cold engine, {at}");
                 assert_eq!(read_paths, cold_paths, "router read vs try_select, {at}");
                 assert_eq!(warm_paths, cold_paths, "warm cache vs cold engine, {at}");
+                if let (Some(ft), Ok(false)) = (&lft, &typed) {
+                    let slots = ft.k().min(topo.num_paths(ps, pd));
+                    let mut walked: Vec<_> = (0..slots)
+                        .map(|slot| ft.route(&topo, ps, pd, slot).expect("LFT walk"))
+                        .collect();
+                    let mut selected: Vec<_> = cold_paths
+                        .iter()
+                        .map(|&p| topo.path_nodes(ps, pd, p))
+                        .collect();
+                    walked.sort_unstable();
+                    selected.sort_unstable();
+                    assert_eq!(walked, selected, "LFT walk vs selection, {at}");
+                    lft_checked += 1;
+                }
                 disconnected += u64::from(typed.is_err());
                 for x in [u64::from(s) << 32 | u64::from(d), ids.len() as u64] {
                     digest = fnv::update(digest, &x.to_le_bytes());
@@ -372,10 +491,16 @@ fn controller_cold_engine_router_read_and_warm_cache_agree_every_epoch() {
                     digest = fnv::update(digest, &p.to_le_bytes());
                 }
             }
-            assert_eq!(ctl.digest(), digest, "{} epoch {batch_id}", kind.name());
+            let at = format!("{name} {} epoch {batch_id}", kind.name());
+            assert_eq!(ctl.digest(), digest, "{at}");
+            let (epoch, hex) = served.client.digest().expect("socket digest");
+            assert_eq!((epoch, hex), (batch_id, format!("{digest:016x}")), "{at}");
         }
         assert!(warm.stats().hits > 0 && warm.stats().invalidated > 0);
+        served.stop();
         cleanup(&cfg);
+        cleanup(&served_cfg);
     }
     assert!(disconnected > 0, "the batches must disconnect some pair");
+    assert!(lft_checked > 0, "some scheme must have an LFT walk");
 }

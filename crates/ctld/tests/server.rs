@@ -1,8 +1,9 @@
 //! Socket-level tests: the wire protocol end to end over a real Unix
-//! domain socket — fencing, overload backpressure, deadlines, chaos
-//! and the shutdown handshake.
+//! domain socket — fencing, write backpressure, reads answered from the
+//! published snapshot while a batch certifies, chaos and the shutdown
+//! handshake.
 
-use lmpr_core::RouterKind;
+use lmpr_core::{Router, RouterKind, SelectionEngine};
 use lmpr_ctld::{
     read_frame, serve, write_frame, ChangeSpec, Controller, CtlConfig, ErrorCode, Request,
     Response, ServerConfig,
@@ -10,6 +11,7 @@ use lmpr_ctld::{
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::thread::JoinHandle;
+use xgft::{FaultSet, PnId};
 
 const TOPO: &str = "8port2tree";
 
@@ -294,99 +296,294 @@ fn oversized_replies_are_typed_errors_not_dropped_connections() {
     d.stop();
 }
 
-#[test]
-fn a_zero_deadline_is_rejected_as_expired() {
-    let d = Daemon::start("deadline", |_, _| {});
+/// Send `req` on a fresh connection from a thread of its own; the
+/// handle yields the reply.
+fn send_async(d: &Daemon, req: Request) -> std::thread::JoinHandle<Response> {
     let mut c = d.connect();
-    let epoch = match roundtrip(&mut c, &Request::Status) {
-        Response::Status { epoch, .. } => epoch,
-        other => panic!("unexpected status reply: {other:?}"),
-    };
-    match roundtrip(
-        &mut c,
-        &Request::Paths {
-            epoch,
-            deadline_ms: Some(0),
-            pairs: vec![(0, 1)],
-        },
-    ) {
-        Response::Error {
-            code: ErrorCode::Deadline,
-            ..
-        } => {}
-        other => panic!("zero deadline not expired: {other:?}"),
-    }
-    d.stop();
+    std::thread::spawn(move || roundtrip(&mut c, &req))
 }
 
 #[test]
-fn a_slow_reconvergence_sheds_load_with_typed_overloads() {
-    // A tiny queue plus an artificially slow reconvergence: while the
-    // controller is busy certifying, floods of queries must be rejected
-    // as `overload` by the connection threads, never silently dropped.
+fn a_slow_reconvergence_sheds_writes_with_typed_overloads() {
+    // A one-write queue plus an artificially slow reconvergence: while
+    // the controller is busy certifying, a flood of writes must be
+    // rejected as `overload` by the connection threads, never silently
+    // dropped — and reads keep being answered meanwhile.
     let d = Daemon::start("overload", |cfg, server| {
         cfg.reconverge_delay_ms = 400;
         server.queue_cap = 1;
     });
-
-    // Kick off a fault batch on its own connection; the controller
-    // thread now sleeps inside reconvergence with the queue tiny.
-    let fault_conn = {
-        let mut c = d.connect();
-        std::thread::spawn(move || {
-            roundtrip(
-                &mut c,
-                &Request::Fault {
-                    batch_id: 1,
-                    gen: None,
-                    changes: vec![ChangeSpec::LinkDown(4)],
-                },
-            )
-        })
-    };
+    let fault = send_async(
+        &d,
+        Request::Fault {
+            batch_id: 1,
+            gen: None,
+            changes: vec![ChangeSpec::LinkDown(4)],
+        },
+    );
     std::thread::sleep(std::time::Duration::from_millis(50));
 
-    let (mut overloads, mut served) = (0u32, 0u32);
-    let mut floods = Vec::new();
-    for _ in 0..8 {
-        let mut c = d.connect();
-        floods.push(std::thread::spawn(move || {
-            match roundtrip(&mut c, &Request::Status) {
-                Response::Status { .. } => Ok(()),
-                Response::Error {
-                    code: ErrorCode::Overload,
-                    message,
-                    ..
-                } => Err(message),
-                other => panic!("unexpected flood reply: {other:?}"),
-            }
-        }));
+    let floods: Vec<_> = (0..8)
+        .map(|_| send_async(&d, Request::Tick { to: 0 }))
+        .collect();
+    let mut c = d.connect();
+    match roundtrip(&mut c, &Request::Status) {
+        Response::Status { epoch: 0, .. } => {}
+        other => panic!("a read was not answered during the flood: {other:?}"),
     }
+    let (mut overloads, mut served) = (0u32, 0u32);
     for h in floods {
         match h.join().expect("flood thread") {
-            Ok(()) => served += 1,
-            Err(msg) => {
-                assert!(msg.contains("retry"), "overload message: {msg}");
+            Response::Tick { .. } => served += 1,
+            Response::Error {
+                code: ErrorCode::Overload,
+                epoch: 0,
+                mode,
+                message,
+                ..
+            } => {
+                assert_eq!(mode, "serving");
+                assert!(message.contains("retry"), "overload message: {message}");
                 overloads += 1;
             }
+            other => panic!("unexpected flood reply: {other:?}"),
         }
     }
     assert!(
         overloads >= 1,
         "no overload rejections despite a full queue ({served} served)"
     );
-
-    match fault_conn.join().expect("fault thread") {
+    match fault.join().expect("fault thread") {
         Response::Fault { applied: true, .. } => {}
         other => panic!("unexpected fault reply: {other:?}"),
     }
     // Once the controller drains, service resumes normally.
-    let mut c = d.connect();
     match roundtrip(&mut c, &Request::Status) {
         Response::Status { epoch: 1, .. } => {}
         other => panic!("service did not resume: {other:?}"),
     }
     d.stop();
+}
+
+#[test]
+fn reads_are_answered_at_the_old_epoch_while_a_batch_certifies() {
+    let d = Daemon::start("inflight", |cfg, _| cfg.reconverge_delay_ms = 400);
+    let fault = send_async(
+        &d,
+        Request::Fault {
+            batch_id: 1,
+            gen: None,
+            changes: vec![ChangeSpec::LinkDown(4)],
+        },
+    );
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let mut c = d.connect();
+    for req in [
+        Request::Status,
+        Request::Paths {
+            epoch: 0,
+            deadline_ms: None,
+            pairs: vec![(0, 5), (3, 12)],
+        },
+    ] {
+        let asked = std::time::Instant::now();
+        let resp = roundtrip(&mut c, &req);
+        let waited = asked.elapsed();
+        assert!(
+            waited < std::time::Duration::from_millis(100),
+            "{req:?} waited {waited:?} behind the certification"
+        );
+        match resp {
+            Response::Status { epoch: 0, .. } => {}
+            Response::Paths {
+                epoch: 0, paths, ..
+            } => assert_eq!(paths.len(), 2),
+            other => panic!("{req:?} not answered at the old epoch: {other:?}"),
+        }
+    }
+    assert!(!fault.is_finished(), "the batch must still be in flight");
+    match fault.join().expect("fault thread") {
+        Response::Fault {
+            epoch: 1,
+            applied: true,
+            ..
+        } => {}
+        other => panic!("unexpected fault reply: {other:?}"),
+    }
+    d.stop();
+}
+
+#[test]
+fn a_reader_at_epoch_e_gets_all_of_e_or_a_fence_never_a_mix() {
+    let (_, topo) = xgft::topology_by_name(TOPO).expect("known topology");
+    let kind = RouterKind::Disjoint(4);
+    let n = topo.num_pns();
+    let pairs: Vec<(u32, u32)> = (0..n)
+        .flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (s, d)))
+        .collect();
+    // Both epochs' answers, from an uncached engine per fault view.
+    let answers = |view: FaultSet| -> Vec<Vec<u64>> {
+        let engine = SelectionEngine::with_view(kind, view);
+        let mut out = Vec::new();
+        pairs
+            .iter()
+            .map(|&(s, d)| {
+                engine.fill_paths(&topo, PnId(s), PnId(d), &mut out);
+                out.iter().map(|p| p.0).collect()
+            })
+            .collect()
+    };
+    // Every up-link of switch (1, 0): its pairs change selection.
+    let batch: Vec<ChangeSpec> = (0..topo.up_ports(1))
+        .map(|port| ChangeSpec::LinkDown(topo.up_link(2, 0, port).0))
+        .collect();
+    let mut after = FaultSet::new();
+    for c in &batch {
+        c.to_change().apply(&topo, &mut after);
+    }
+    let (at_e, at_next) = (answers(FaultSet::new()), answers(after));
+    assert_ne!(at_e, at_next, "the batch must change some answer");
+
+    let d = Daemon::start("nomix", |cfg, _| cfg.reconverge_delay_ms = 100);
+    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let reader = {
+        let mut c = d.connect();
+        let (stop, pairs) = (std::sync::Arc::clone(&stop), pairs.clone());
+        std::thread::spawn(move || {
+            let (mut whole, mut fenced) = (0u32, 0u32);
+            let req = Request::Paths {
+                epoch: 0,
+                deadline_ms: None,
+                pairs,
+            };
+            while !stop.load(std::sync::atomic::Ordering::SeqCst) {
+                match roundtrip(&mut c, &req) {
+                    Response::Paths {
+                        epoch: 0, paths, ..
+                    } => {
+                        assert!(paths == at_e, "an epoch-0 reply differs from epoch 0");
+                        whole += 1;
+                    }
+                    Response::Error {
+                        code: ErrorCode::EpochFenced,
+                        epoch: 1,
+                        ..
+                    } => fenced += 1,
+                    other => panic!("neither all of epoch 0 nor a fence: {other:?}"),
+                }
+            }
+            (whole, fenced)
+        })
+    };
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    let mut w = d.connect();
+    match roundtrip(
+        &mut w,
+        &Request::Fault {
+            batch_id: 1,
+            gen: None,
+            changes: batch,
+        },
+    ) {
+        Response::Fault {
+            epoch: 1,
+            applied: true,
+            ..
+        } => {}
+        other => panic!("unexpected fault reply: {other:?}"),
+    }
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    let (whole, fenced) = reader.join().expect("reader thread");
+    assert!(whole > 0 && fenced > 0, "whole {whole}, fenced {fenced}");
+    match roundtrip(
+        &mut w,
+        &Request::Paths {
+            epoch: 1,
+            deadline_ms: None,
+            pairs: pairs.clone(),
+        },
+    ) {
+        Response::Paths {
+            epoch: 1, paths, ..
+        } => assert!(paths == at_next),
+        other => panic!("unexpected epoch-1 reply: {other:?}"),
+    }
+    d.stop();
+}
+
+#[test]
+fn after_a_fault_ack_every_connection_reads_the_new_epoch() {
+    let d = Daemon::start("ryw", |_, _| {});
+    // Connections opened, and used, before the write.
+    let mut readers: Vec<UnixStream> = (0..4).map(|_| d.connect()).collect();
+    for c in &mut readers {
+        match roundtrip(c, &Request::Status) {
+            Response::Status { epoch: 0, .. } => {}
+            other => panic!("unexpected status reply: {other:?}"),
+        }
+    }
+    let mut w = d.connect();
+    for batch_id in 1..=5u64 {
+        match roundtrip(
+            &mut w,
+            &Request::Fault {
+                batch_id,
+                gen: None,
+                changes: vec![ChangeSpec::LinkDown(batch_id as u32)],
+            },
+        ) {
+            Response::Fault { epoch, .. } => assert_eq!(epoch, batch_id),
+            other => panic!("unexpected fault reply: {other:?}"),
+        }
+        for c in &mut readers {
+            match roundtrip(c, &Request::Status) {
+                Response::Status { epoch, .. } => assert_eq!(epoch, batch_id),
+                other => panic!("unexpected status reply: {other:?}"),
+            }
+            match roundtrip(
+                c,
+                &Request::Paths {
+                    epoch: batch_id - 1,
+                    deadline_ms: None,
+                    pairs: vec![(0, 5)],
+                },
+            ) {
+                Response::Error {
+                    code: ErrorCode::EpochFenced,
+                    epoch,
+                    ..
+                } => assert_eq!(epoch, batch_id),
+                other => panic!("the old epoch was still served: {other:?}"),
+            }
+        }
+    }
+    d.stop();
+}
+
+#[test]
+fn a_connection_outliving_serve_gets_no_snapshot_answer() {
+    let d = Daemon::start("zombie", |_, _| {});
+    let mut early = d.connect();
+    match roundtrip(&mut early, &Request::Status) {
+        Response::Status { epoch: 0, .. } => {}
+        other => panic!("unexpected status reply: {other:?}"),
+    }
+    d.stop(); // `serve` has returned once this does
+    for req in [Request::Status, Request::Digest] {
+        if write_frame(&mut early, req.to_json().as_bytes()).is_err() {
+            return; // closed: no answer at all
+        }
+        match read_frame(&mut early).map(|p| Response::decode(&p)) {
+            Err(_) => return,
+            Ok(Ok(Response::Error {
+                code: ErrorCode::Overload,
+                message,
+                ..
+            })) => assert!(message.contains("shutting down"), "{message}"),
+            Ok(other) => panic!("a dead server answered {req:?}: {other:?}"),
+        }
+    }
 }
 
 #[test]

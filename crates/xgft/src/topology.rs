@@ -420,7 +420,8 @@ impl Topology {
 }
 
 /// The evaluation topologies of §5, keyed the way the paper labels
-/// them, as `(spec label, topology)`.
+/// them, as `(spec label, topology)`. Any other tree is named by its
+/// spec, `xgft:M1,..,Mh;W1,..,Wh` (the `lmpr` CLI's form).
 pub fn topology_by_name(name: &str) -> Option<(String, Topology)> {
     let spec = match name {
         // Figure 4 panels.
@@ -431,7 +432,12 @@ pub fn topology_by_name(name: &str) -> Option<(String, Topology)> {
         // The remaining §5 topologies.
         "8port2tree" => XgftSpec::m_port_n_tree(8, 2),
         "8port3tree" => XgftSpec::m_port_n_tree(8, 3),
-        _ => return None,
+        _ => {
+            let (m, w) = name.strip_prefix("xgft:")?.split_once(';')?;
+            let digits =
+                |t: &str| -> Option<Vec<u32>> { t.split(',').map(|x| x.parse().ok()).collect() };
+            XgftSpec::new(&digits(m)?, &digits(w)?)
+        }
     }
     .ok()?;
     let label = format!("{spec}");
@@ -448,6 +454,12 @@ mod tests {
         assert_eq!(label, "XGFT(3; 8,8,16; 1,8,8)");
         assert_eq!(t.num_pns(), 1024);
         assert!(topology_by_name("z").is_none());
+        let (label, t) = topology_by_name("xgft:3,2,4;1,2,3").unwrap();
+        assert_eq!(label, "XGFT(3; 3,2,4; 1,2,3)");
+        assert_eq!(t.num_pns(), 24);
+        for bad in ["xgft:3,2;1", "xgft:3,x;1,2", "xgft:3,2", "xgft:;"] {
+            assert!(topology_by_name(bad).is_none(), "{bad}");
+        }
         assert_eq!(topology_by_name("d").unwrap().1.num_pns(), 3456);
     }
 
