@@ -27,6 +27,18 @@ if grep -rniE --include="*.rs" \
   echo "FNV-1a / SplitMix64 / json_string redefined outside crates/codec" >&2
   exit 1
 fi
+# JSON layout lives in crates/codec: every result document, certificate
+# and wire frame is written by lmpr_codec::json::Writer, and a nested
+# document writes itself into its parent's writer. The hand-laid-out
+# emitters it replaced stay retired, and so does any format string that
+# opens a JSON object (`"{{\"…"`, `"{{\n…"`).
+if grep -rnE --include="*.rs" \
+     -e "json_list|reports_to_json|witness_json|sim_error_to_json|write_document" \
+     -e '"\{\{\\("|n)' \
+     crates src tests examples | grep -v "^crates/codec/"; then
+  echo "JSON is laid out by lmpr_codec::json::Writer alone" >&2
+  exit 1
+fi
 # Degraded selection has one path: SelectionEngine computes it (the
 # top-up lives in core/src/selection.rs), is the Router under faults,
 # and the certificate scope is derived from the blast radius — the

@@ -11,17 +11,18 @@
 
 #![forbid(unsafe_code)]
 
-use lmpr_bench::{chaos, document_to_json, usage_error, write_document, CommonArgs};
+use lmpr_bench::{chaos, document_to_json, usage_error, write_json, CommonArgs};
 
 fn main() {
     let args = CommonArgs::from_env(&[]).unwrap_or_else(|e| usage_error("chaos", &e));
     let out = chaos::run(args.quick);
     match &args.json {
         Some(path) => {
-            if let Err(e) = write_document(path, &out.records, &out.failures) {
-                eprintln!("chaos: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
+            write_json(
+                "chaos",
+                path,
+                &document_to_json(&out.records, &out.failures),
+            );
             println!(
                 "wrote {} records and {} failures to {path}",
                 out.records.len(),

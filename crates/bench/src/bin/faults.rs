@@ -8,17 +8,18 @@
 
 #![forbid(unsafe_code)]
 
-use lmpr_bench::{document_to_json, faults, usage_error, write_document, CommonArgs};
+use lmpr_bench::{document_to_json, faults, usage_error, write_json, CommonArgs};
 
 fn main() {
     let args = CommonArgs::from_env(&[]).unwrap_or_else(|e| usage_error("faults", &e));
     let out = faults::run(args.quick);
     match args.json {
         Some(path) => {
-            if let Err(e) = write_document(&path, &out.records, &out.failures) {
-                eprintln!("faults: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
+            write_json(
+                "faults",
+                &path,
+                &document_to_json(&out.records, &out.failures),
+            );
             println!(
                 "wrote {} records and {} failures to {path}",
                 out.records.len(),

@@ -14,7 +14,8 @@
 #![forbid(unsafe_code)]
 
 use lmpr_bench::{
-    heuristics_at, k_ladder, topology_by_name, usage_error, write_json, CommonArgs, Record,
+    heuristics_at, k_ladder, records_to_json, topology_by_name, usage_error, write_json,
+    CommonArgs, Record,
 };
 use lmpr_core::{Router, RouterKind};
 use lmpr_flowsim::{average_over_seeds, PermutationStudy, StudyConfig};
@@ -162,7 +163,7 @@ fn main() {
     // sync with Table 1's.
     debug_assert_eq!(heuristics_at(2, 0).len(), 3);
     if let Some(path) = args.json {
-        write_json(&path, &records).expect("writing results JSON");
+        write_json("fig4", &path, &records_to_json(&records));
         println!("\nwrote {} records", records.len());
     }
 }

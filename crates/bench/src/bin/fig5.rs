@@ -8,7 +8,7 @@
 
 #![forbid(unsafe_code)]
 
-use lmpr_bench::{usage_error, write_json, CommonArgs, Record};
+use lmpr_bench::{records_to_json, usage_error, write_json, CommonArgs, Record};
 use lmpr_core::{Router, RouterKind};
 use lmpr_flitsim::sweep::run_sweep;
 use lmpr_flitsim::SimConfig;
@@ -80,7 +80,7 @@ fn main() {
     }
 
     if let Some(path) = args.json {
-        write_json(&path, &records).expect("writing results JSON");
+        write_json("fig5", &path, &records_to_json(&records));
         println!("\nwrote {} records", records.len());
     }
 }

@@ -12,7 +12,7 @@
 
 #![forbid(unsafe_code)]
 
-use lmpr_bench::{usage_error, write_json, CommonArgs, Record};
+use lmpr_bench::{records_to_json, usage_error, write_json, CommonArgs, Record};
 use lmpr_core::{Router, RouterKind};
 use lmpr_flowsim::{level_breakdown, LinkLoads};
 use lmpr_traffic::{random_permutation, TrafficMatrix};
@@ -96,7 +96,7 @@ fn main() {
     );
 
     if let Some(path) = args.json {
-        write_json(&path, &records).expect("writing results JSON");
+        write_json("levels", &path, &records_to_json(&records));
         println!("wrote {} records", records.len());
     }
 }

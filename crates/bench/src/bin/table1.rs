@@ -11,7 +11,7 @@
 
 #![forbid(unsafe_code)]
 
-use lmpr_bench::{usage_error, write_json, CommonArgs, Record};
+use lmpr_bench::{records_to_json, usage_error, write_json, CommonArgs, Record};
 use lmpr_core::{RandomK, Router, RouterKind};
 use lmpr_flitsim::sweep::{load_grid, run_sweep};
 use lmpr_flitsim::{saturation_throughput, PathPolicy, SimConfig};
@@ -44,7 +44,7 @@ fn main() {
     }
 
     if let Some(path) = args.json {
-        write_json(&path, &records).expect("writing results JSON");
+        write_json("table1", &path, &records_to_json(&records));
         println!("\nwrote {} records", records.len());
     }
 }

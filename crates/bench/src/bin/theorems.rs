@@ -12,7 +12,7 @@
 
 #![forbid(unsafe_code)]
 
-use lmpr_bench::{usage_error, write_json, CommonArgs, Record};
+use lmpr_bench::{records_to_json, usage_error, write_json, CommonArgs, Record};
 use lmpr_core::{lid, DModK, Router, Umulti};
 use lmpr_flowsim::{ml_lower_bound, performance_ratio, LinkLoads};
 use lmpr_traffic::{adversarial_concentration, random_permutation, TrafficMatrix};
@@ -115,7 +115,7 @@ fn main() {
 
     let _ = DModK.name();
     if let Some(path) = args.json {
-        write_json(&path, &records).expect("writing results JSON");
+        write_json("theorems", &path, &records_to_json(&records));
         println!("\nwrote {} records", records.len());
     }
 }

@@ -28,6 +28,7 @@
 #![forbid(unsafe_code)]
 
 use lmpr_bench::topology_by_name;
+use lmpr_codec::json::document;
 use lmpr_core::forwarding::SlotOrder;
 use lmpr_core::RouterKind;
 use lmpr_verify::{verify_router_kind, verify_tables, Cdg, Report, RuleId};
@@ -149,7 +150,7 @@ fn run(raw: Vec<String>) -> Result<bool, String> {
         reports.iter().map(|r| r.findings.len()).sum::<usize>()
     );
 
-    let json = reports_to_json(&reports);
+    let json = document(|w| w.arr(|w| reports.iter().for_each(|r| r.write_json(w))));
     match &args.json {
         Some(path) => {
             std::fs::write(path, &json).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -271,28 +272,4 @@ fn print_report(r: &Report) {
     for d in &r.findings {
         println!("           {d}");
     }
-}
-
-/// Join per-report JSON objects into one array (each report already
-/// renders itself with 2-space indentation).
-fn reports_to_json(reports: &[Report]) -> String {
-    if reports.is_empty() {
-        return "[]".to_owned();
-    }
-    let mut out = String::from("[\n");
-    for (i, r) in reports.iter().enumerate() {
-        let body = r.to_json();
-        for line in body.lines() {
-            out.push_str("  ");
-            out.push_str(line);
-            out.push('\n');
-        }
-        if i + 1 < reports.len() {
-            // replace the trailing newline after `}` with `,\n`
-            out.pop();
-            out.push_str(",\n");
-        }
-    }
-    out.push(']');
-    out
 }

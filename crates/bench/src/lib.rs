@@ -17,6 +17,7 @@
 
 #![forbid(unsafe_code)]
 
+use lmpr_codec::json::{document, Writer};
 use lmpr_core::RouterKind;
 use lmpr_flitsim::SimError;
 
@@ -74,42 +75,37 @@ pub struct Record {
     pub aux: Option<f64>,
 }
 
-/// Write records as pretty JSON to `path` (hand-rolled serializer —
-/// the build environment cannot pull in serde_json; the layout matches
-/// `serde_json::to_string_pretty`'s 2-space indentation).
-pub fn write_json(path: &str, records: &[Record]) -> std::io::Result<()> {
-    std::fs::write(path, records_to_json(records))
+/// Write a rendered results document to `path`. An unwritable path is
+/// reported as `<bin>: cannot write PATH: …` on stderr with exit
+/// status 2, like any other command-line error.
+pub fn write_json(bin: &str, path: &str, json: &str) {
+    if let Err(e) = std::fs::write(path, json) {
+        usage_error(bin, &format!("cannot write {path}: {e}"));
+    }
 }
 
 /// Render records as a pretty-printed JSON array.
 pub fn records_to_json(records: &[Record]) -> String {
-    let mut out = String::from("[");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str("  {\n");
-        out.push_str(&format!(
-            "    \"experiment\": {},\n",
-            json_string(&r.experiment)
-        ));
-        out.push_str(&format!(
-            "    \"topology\": {},\n",
-            json_string(&r.topology)
-        ));
-        out.push_str(&format!("    \"scheme\": {},\n", json_string(&r.scheme)));
-        out.push_str(&format!("    \"k\": {},\n", r.k));
-        out.push_str(&format!("    \"x\": {},\n", json_f64(r.x)));
-        out.push_str(&format!("    \"y\": {},\n", json_f64(r.y)));
-        match r.aux {
-            Some(a) => out.push_str(&format!("    \"aux\": {}\n", json_f64(a))),
-            None => out.push_str("    \"aux\": null\n"),
+    document(|w| write_records(w, records))
+}
+
+fn write_records(w: &mut Writer, records: &[Record]) {
+    w.arr(|w| {
+        for r in records {
+            w.obj(|w| {
+                w.key("experiment").str(&r.experiment);
+                w.key("topology").str(&r.topology);
+                w.key("scheme").str(&r.scheme);
+                w.key("k").int(r.k);
+                w.key("x").f64(r.x);
+                w.key("y").f64(r.y);
+                match r.aux {
+                    Some(a) => w.key("aux").f64(a),
+                    None => w.key("aux").null(),
+                };
+            });
         }
-        out.push_str("  }");
-    }
-    out.push_str("\n]");
-    if records.is_empty() {
-        return "[]".to_owned();
-    }
-    out
+    });
 }
 
 /// One structured failure of a simulation run: the scenario that failed
@@ -133,72 +129,58 @@ pub struct Failure {
     pub error: SimError,
 }
 
-/// Serialize a [`SimError`] as a JSON object with a `kind` tag; a
-/// deadlock carries the full [`DeadlockReport`](lmpr_flitsim::DeadlockReport)
+/// A [`SimError`] as a one-line object with a `kind` tag; a deadlock
+/// carries the full [`DeadlockReport`](lmpr_flitsim::DeadlockReport)
 /// field by field.
-pub fn sim_error_to_json(e: &SimError) -> String {
-    match e {
-        SimError::Config(c) => format!(
-            "{{\"kind\": \"config\", \"message\": {}}}",
-            json_string(&c.to_string())
-        ),
-        SimError::Traffic(t) => format!(
-            "{{\"kind\": \"traffic\", \"message\": {}}}",
-            json_string(&t.to_string())
-        ),
-        SimError::TooFewPns(n) => {
-            format!("{{\"kind\": \"too-few-pns\", \"num_pns\": {n}}}")
+fn write_sim_error(w: &mut Writer, e: &SimError) {
+    w.obj_line(|w| match e {
+        SimError::Config(c) => {
+            w.key("kind").str("config");
+            w.key("message").str(&c.to_string());
         }
-        SimError::Deadlock(r) => format!(
-            "{{\"kind\": \"deadlock\", \"cycle\": {}, \"stalled_for\": {}, \
-             \"flits_in_network\": {}, \"in_flight_packets\": {}, \
-             \"blocked_ports\": {}, \"source_backlog\": {}}}",
-            r.cycle,
-            r.stalled_for,
-            r.flits_in_network,
-            r.in_flight_packets,
-            r.blocked_ports,
-            r.source_backlog
-        ),
-    }
+        SimError::Traffic(t) => {
+            w.key("kind").str("traffic");
+            w.key("message").str(&t.to_string());
+        }
+        SimError::TooFewPns(n) => {
+            w.key("kind").str("too-few-pns");
+            w.key("num_pns").int(*n);
+        }
+        SimError::Deadlock(r) => {
+            w.key("kind").str("deadlock");
+            w.key("cycle").int(r.cycle);
+            w.key("stalled_for").int(r.stalled_for);
+            w.key("flits_in_network").int(r.flits_in_network);
+            w.key("in_flight_packets").int(r.in_flight_packets);
+            w.key("blocked_ports").int(r.blocked_ports);
+            w.key("source_backlog").int(r.source_backlog);
+        }
+    });
 }
 
 /// Render a results document holding both successful-run records and
 /// structured failures: `{"records": […], "failures": […]}`.
 pub fn document_to_json(records: &[Record], failures: &[Failure]) -> String {
-    let records_json = records_to_json(records).replace('\n', "\n  ");
-    let mut out = format!("{{\n  \"records\": {records_json},\n  \"failures\": [");
-    for (i, f) in failures.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str("    {\n");
-        out.push_str(&format!(
-            "      \"experiment\": {},\n",
-            json_string(&f.experiment)
-        ));
-        out.push_str(&format!(
-            "      \"topology\": {},\n",
-            json_string(&f.topology)
-        ));
-        out.push_str(&format!("      \"scheme\": {},\n", json_string(&f.scheme)));
-        out.push_str(&format!("      \"k\": {},\n", f.k));
-        out.push_str(&format!("      \"x\": {},\n", json_f64(f.x)));
-        out.push_str(&format!("      \"seed\": {},\n", f.seed));
-        out.push_str(&format!(
-            "      \"error\": {}\n",
-            sim_error_to_json(&f.error)
-        ));
-        out.push_str("    }");
-    }
-    if !failures.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}");
-    out
-}
-
-/// Write a records + failures document as pretty JSON to `path`.
-pub fn write_document(path: &str, records: &[Record], failures: &[Failure]) -> std::io::Result<()> {
-    std::fs::write(path, document_to_json(records, failures))
+    document(|w| {
+        w.obj(|w| {
+            w.key("records");
+            write_records(w, records);
+            w.key("failures").arr(|w| {
+                for f in failures {
+                    w.obj(|w| {
+                        w.key("experiment").str(&f.experiment);
+                        w.key("topology").str(&f.topology);
+                        w.key("scheme").str(&f.scheme);
+                        w.key("k").int(f.k);
+                        w.key("x").f64(f.x);
+                        w.key("seed").int(f.seed);
+                        w.key("error");
+                        write_sim_error(w, &f.error);
+                    });
+                }
+            });
+        })
+    })
 }
 
 /// Parse `--json PATH` and `--quick` style flags from `args`.
@@ -334,16 +316,17 @@ mod tests {
         assert!(doc.contains("\"records\": ["));
         assert!(doc.contains("\"failures\": ["));
         // Other SimError variants keep their kind tag and message.
-        let cfg = sim_error_to_json(&SimError::Config(ConfigError::ZeroPacketFlits));
-        assert!(cfg.starts_with("{\"kind\": \"config\""));
-        assert!(sim_error_to_json(&SimError::TooFewPns(1)).contains("\"num_pns\": 1"));
-        // Braces balance (the serializer is hand-rolled).
-        let depth = doc.chars().fold(0i32, |d, c| match c {
-            '{' | '[' => d + 1,
-            '}' | ']' => d - 1,
-            _ => d,
-        });
-        assert_eq!(depth, 0);
+        let error = |e: SimError| document(|w| write_sim_error(w, &e));
+        assert_eq!(
+            error(SimError::Config(ConfigError::ZeroPacketFlits)),
+            r#"{"kind": "config", "message": "packets need at least one flit"}"#
+        );
+        assert_eq!(
+            error(SimError::TooFewPns(1)),
+            r#"{"kind": "too-few-pns", "num_pns": 1}"#
+        );
+        let back = jsonio::parse(&doc).expect("the document parses");
+        assert_eq!(back.req_arr("failures").map(<[_]>::len), Ok(1));
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! binary does not use, a flag its mode ignores, or a path budget that
 //! is not a positive integer, is an error on stderr prefixed with the binary's name and
 //! exit code 2 — never a panic, never silently ignored. Every input here
-//! is refused before any work starts, so the test is fast.
+//! is refused before any work starts, so the test is fast. A `--json`
+//! path that cannot be written is the same kind of error, reported once
+//! the results are ready.
 
 use std::process::Command;
 
@@ -67,4 +69,19 @@ fn verify_modes_refuse_what_they_would_ignore() {
     ] {
         assert_rejected("verify", exe, args);
     }
+}
+
+#[test]
+fn an_unwritable_json_path_is_an_error_not_a_panic() {
+    let out = Command::new(env!("CARGO_BIN_EXE_theorems"))
+        .args(["--json", "/nonexistent-dir/x.json"])
+        .output()
+        .expect("the binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with("theorems: cannot write /nonexistent-dir/x.json: "),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -1,11 +1,16 @@
-//! Strict JSON: the one reader and the two scalar writers.
+//! Strict JSON: the one reader and the one writer.
 //!
-//! Result documents, certificates and the controller's wire frames are
-//! written by hand-laid-out `format!` calls on top of
-//! [`json_string`] and [`json_f64`]; [`parse`] / [`parse_bytes`] is the
-//! matching reader, and [`Value`]'s `req_*` accessors turn "member
-//! `key` must be present and of this type" into one fallible call. Two
-//! properties matter here and shaped the design:
+//! Every result document, certificate and controller wire frame is
+//! written by [`document`] through a [`Writer`], a streaming writer with
+//! exactly two layouts: pretty (serde_json's `to_string_pretty` shape)
+//! and one-line. A document that embeds another — a certificate inside
+//! the soak document, reports inside the verifier's array — writes
+//! itself into its parent's `&mut Writer`, so nothing re-indents
+//! finished text. [`json_string`] and [`json_f64`] are the writer's string
+//! escaping and float spelling as standalone functions. [`parse`] /
+//! [`parse_bytes`] is the matching reader, and [`Value`]'s `req_*`
+//! accessors turn "member `key` must be present and of this type" into
+//! one fallible call. Two properties matter here and shaped the design:
 //!
 //! * **Numbers keep their source text.** [`Value::Num`] stores the raw
 //!   token; callers parse on demand. [`json_f64`] writes Rust's
@@ -16,7 +21,7 @@
 //!   with a byte offset: duplicate keys, non-UTF-8, truncations and
 //!   depth bombs included.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value. Object members keep their source order.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,19 +143,30 @@ impl std::error::Error for FieldError {}
 /// matching serde_json's float formatting; non-finite values become
 /// `null` as serde_json has no representation for them either).
 pub fn json_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_owned();
-    }
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
-    }
+    let mut out = String::new();
+    push_f64(&mut out, v);
+    out
 }
 
 /// JSON string literal with the mandatory escapes.
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_string(&mut out, s);
+    out
+}
+
+fn push_f64(out: &mut String, v: f64) {
+    // Writing into a `String` cannot fail.
+    let _ = if !v.is_finite() {
+        out.write_str("null")
+    } else if v == v.trunc() && v.abs() < 1e15 {
+        write!(out, "{v:.1}")
+    } else {
+        write!(out, "{v}")
+    };
+}
+
+fn push_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -159,12 +175,162 @@ pub fn json_string(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
-    out
+}
+
+/// An integer, written in decimal by [`Writer::int`].
+pub trait Int: fmt::Display + Copy {}
+
+macro_rules! ints {
+    ($($t:ty)*) => { $(impl Int for $t {})* };
+}
+ints!(u8 u16 u32 u64 u128 usize i8 i16 i32 i64 i128 isize);
+
+/// The JSON text `body` writes: the one way a result document, a
+/// certificate or a wire frame is laid out.
+///
+/// ```
+/// let doc = lmpr_codec::json::document(|w| {
+///     w.obj(|w| {
+///         w.key("k").int(4u64);
+///         w.key("xs").arr_line(|w| {
+///             w.f64(0.5);
+///             w.null();
+///         });
+///     })
+/// });
+/// assert_eq!(doc, "{\n  \"k\": 4,\n  \"xs\": [0.5, null]\n}");
+/// ```
+pub fn document(body: impl FnOnce(&mut Writer)) -> String {
+    let mut w = Writer::default();
+    body(&mut w);
+    w.out
+}
+
+/// A streaming JSON writer with exactly two layouts, chosen per
+/// container:
+///
+/// * **pretty** — [`obj`](Writer::obj), [`arr`](Writer::arr): one member
+///   per line, two-space indent, `{}` / `[]` when empty (serde_json's
+///   `to_string_pretty` shape);
+/// * **one-line** — [`obj_line`](Writer::obj_line),
+///   [`arr_line`](Writer::arr_line): `{"a": 1, "b": [1, 2]}`. Every
+///   child of a one-line value stays on its line, whichever call writes
+///   it.
+///
+/// Containers are closures, so they balance by construction; an object
+/// member is [`key`](Writer::key) and then one value. Everything streams
+/// into one `String`, with no allocation per element.
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: String,
+    /// Pretty containers enclosing the next member: its indent.
+    depth: usize,
+    /// Inside a one-line value.
+    line: bool,
+    /// The current container already has a member.
+    started: bool,
+    /// A key was just written; its value follows on the same line.
+    keyed: bool,
+}
+
+impl Writer {
+    fn newline(&mut self) {
+        self.out.push('\n');
+        for _ in 0..self.depth {
+            self.out.push_str("  ");
+        }
+    }
+
+    /// The separator and indent before the next value (none after a key
+    /// or at the top level), then the text to write it into.
+    fn member(&mut self) -> &mut String {
+        if !std::mem::take(&mut self.keyed) {
+            if self.line && self.started {
+                self.out.push_str(", ");
+            } else if !self.line && self.depth > 0 {
+                if self.started {
+                    self.out.push(',');
+                }
+                self.newline();
+            }
+            self.started = true;
+        }
+        &mut self.out
+    }
+
+    fn container(&mut self, [open, close]: [char; 2], line: bool, body: impl FnOnce(&mut Self)) {
+        self.member().push(open);
+        let outer = (self.line, self.started);
+        let pretty = !(self.line || line);
+        (self.line, self.started) = (!pretty, false);
+        self.depth += usize::from(pretty);
+        body(self);
+        self.depth -= usize::from(pretty);
+        if pretty && self.started {
+            self.newline();
+        }
+        self.out.push(close);
+        (self.line, self.started) = outer;
+    }
+
+    /// A pretty object whose members `body` writes.
+    pub fn obj(&mut self, body: impl FnOnce(&mut Self)) {
+        self.container(['{', '}'], false, body);
+    }
+
+    /// A pretty array whose elements `body` writes.
+    pub fn arr(&mut self, body: impl FnOnce(&mut Self)) {
+        self.container(['[', ']'], false, body);
+    }
+
+    /// A one-line object whose members `body` writes.
+    pub fn obj_line(&mut self, body: impl FnOnce(&mut Self)) {
+        self.container(['{', '}'], true, body);
+    }
+
+    /// A one-line array whose elements `body` writes.
+    pub fn arr_line(&mut self, body: impl FnOnce(&mut Self)) {
+        self.container(['[', ']'], true, body);
+    }
+
+    /// The key of the next object member; the value call that must
+    /// follow is chained on it.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        push_string(self.member(), key);
+        self.out.push_str(": ");
+        self.keyed = true;
+        self
+    }
+
+    /// A string, escaped as [`json_string`] does.
+    pub fn str(&mut self, s: &str) {
+        push_string(self.member(), s);
+    }
+
+    /// A float, spelled as [`json_f64`] does (`null` when not finite).
+    pub fn f64(&mut self, v: f64) {
+        push_f64(self.member(), v);
+    }
+
+    /// An integer in decimal.
+    pub fn int(&mut self, v: impl Int) {
+        let _ = write!(self.member(), "{v}");
+    }
+
+    pub fn bool(&mut self, b: bool) {
+        self.member().push_str(if b { "true" } else { "false" });
+    }
+
+    pub fn null(&mut self) {
+        self.member().push_str("null");
+    }
 }
 
 /// Where and why parsing stopped.

@@ -3,7 +3,8 @@
 //! produced — and every such byte read back is validated — here.
 //!
 //! * [`json`] — the strict JSON reader (typed errors on any input,
-//!   required-field accessors) and the two scalar writers.
+//!   required-field accessors) and the one streaming writer every
+//!   document, certificate and wire frame is laid out by.
 //! * [`envelope`] — `magic · version · length · FNV-1a-64 · payload`
 //!   sealing and opening, plus the little-endian [`envelope::Enc`] /
 //!   [`envelope::Dec`] payload cursors. Users own their magic, version

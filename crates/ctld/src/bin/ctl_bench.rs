@@ -16,7 +16,7 @@
 
 #![forbid(unsafe_code)]
 
-use lmpr_codec::json::{json_f64, json_string};
+use lmpr_codec::json::document;
 use lmpr_core::{Router, RouterKind};
 use lmpr_ctld::{read_frame, write_frame, Controller, CtlConfig, Request, Response, ServerConfig};
 use std::io::Write as _;
@@ -220,23 +220,36 @@ fn run() -> Result<(), String> {
         0.0
     };
 
-    let doc = format!(
-        "{{\n  \"experiment\": \"ctl_bench\",\n  \"topology\": {},\n  \"scheme\": {},\n  \
-         \"pns\": {pns},\n  \"quick\": {},\n  \"schedule\": {{\"kind\": \"poisson\", \
-         \"fail_rate\": {}, \"mean_repair\": {}, \"horizon\": {horizon}, \"seed\": {SEED}, \
-         \"events\": {fault_events}}},\n  \"genesis_cert_ms\": {genesis_ms},\n  \
-         \"epochs_committed\": {epoch},\n  \"reconvergence\": {{\"count\": {reconv_count}, \
-         \"mean_us\": {}, \"max_us\": {reconv_max_us}}},\n  \"queries\": {{\"answered\": \
-         {answered}, \"fenced_batches\": {fenced}, \"seconds\": {}, \"per_sec\": {}}}\n}}\n",
-        json_string(TOPO),
-        json_string(&KIND.name()),
-        args.quick,
-        json_f64(FAIL_RATE),
-        json_f64(MEAN_REPAIR),
-        json_f64(mean_us),
-        json_f64(seconds),
-        json_f64(per_sec),
-    );
+    let doc = document(|w| {
+        w.obj(|w| {
+            w.key("experiment").str("ctl_bench");
+            w.key("topology").str(TOPO);
+            w.key("scheme").str(&KIND.name());
+            w.key("pns").int(pns);
+            w.key("quick").bool(args.quick);
+            w.key("schedule").obj_line(|w| {
+                w.key("kind").str("poisson");
+                w.key("fail_rate").f64(FAIL_RATE);
+                w.key("mean_repair").f64(MEAN_REPAIR);
+                w.key("horizon").int(horizon);
+                w.key("seed").int(SEED);
+                w.key("events").int(fault_events);
+            });
+            w.key("genesis_cert_ms").int(genesis_ms);
+            w.key("epochs_committed").int(epoch);
+            w.key("reconvergence").obj_line(|w| {
+                w.key("count").int(reconv_count);
+                w.key("mean_us").f64(mean_us);
+                w.key("max_us").int(reconv_max_us);
+            });
+            w.key("queries").obj_line(|w| {
+                w.key("answered").int(answered);
+                w.key("fenced_batches").int(fenced);
+                w.key("seconds").f64(seconds);
+                w.key("per_sec").f64(per_sec);
+            });
+        })
+    }) + "\n";
     let mut f = std::fs::File::create(&args.out).map_err(|e| e.to_string())?;
     f.write_all(doc.as_bytes()).map_err(|e| e.to_string())?;
     eprintln!(

@@ -48,7 +48,7 @@
 
 #![forbid(unsafe_code)]
 
-use lmpr_codec::json::json_string;
+use lmpr_codec::json::document;
 use lmpr_core::{Router, RouterKind};
 use lmpr_ctld::soak::{
     escalation, BatchAck, PromotionRecord, RestartCause, RestartRecord, SoakLedger, SoakPhase,
@@ -825,29 +825,35 @@ fn run() -> Result<i32, String> {
         && h.ledger.promotions.len() as u64 >= h.args.min_promotions
         && !failover_budget_exhausted;
     let plan_repr = FailPlan::new(h.args.seed, 0, 0, 0).to_string();
-    let doc = format!(
-        "{{\n  \"experiment\": \"ctl_soak\",\n  \"seed\": {},\n  \"plan\": {},\n  \
-         \"batches\": {},\n  \"faults\": {{\"storage\": {}, \"storage_crashes\": {}, \
-         \"feeder_wire\": {}, \"total\": {}}},\n  \"restarts\": {{\"total\": {}, \
-         \"induced\": {}}},\n  \"failover\": {{\"promotions\": {}, \"final_gen\": {}, \
-         \"feeder_failovers\": {}, \"feeder_gen_retries\": {}}},\n  \
-         \"quotas_met\": {quotas_met},\n  \"capped\": {capped},\n  \
-         \"certificate\": {}\n}}\n",
-        h.args.seed,
-        json_string(&plan_repr),
-        h.ledger.batches_sent,
-        h.ledger.storage_faults,
-        h.ledger.storage_crashes,
-        h.ledger.feeder_wire_faults,
-        h.ledger.total_faults(),
-        h.ledger.restarts.len(),
-        h.ledger.induced_restarts(),
-        h.ledger.promotions.len(),
-        final_gen,
-        h.ledger.feeder_failovers,
-        h.ledger.feeder_gen_retries,
-        report.to_json(),
-    );
+    let ledger = &h.ledger;
+    let doc = document(|w| {
+        w.obj(|w| {
+            w.key("experiment").str("ctl_soak");
+            w.key("seed").int(h.args.seed);
+            w.key("plan").str(&plan_repr);
+            w.key("batches").int(ledger.batches_sent);
+            w.key("faults").obj_line(|w| {
+                w.key("storage").int(ledger.storage_faults);
+                w.key("storage_crashes").int(ledger.storage_crashes);
+                w.key("feeder_wire").int(ledger.feeder_wire_faults);
+                w.key("total").int(ledger.total_faults());
+            });
+            w.key("restarts").obj_line(|w| {
+                w.key("total").int(ledger.restarts.len());
+                w.key("induced").int(ledger.induced_restarts());
+            });
+            w.key("failover").obj_line(|w| {
+                w.key("promotions").int(ledger.promotions.len());
+                w.key("final_gen").int(final_gen);
+                w.key("feeder_failovers").int(ledger.feeder_failovers);
+                w.key("feeder_gen_retries").int(ledger.feeder_gen_retries);
+            });
+            w.key("quotas_met").bool(quotas_met);
+            w.key("capped").bool(capped);
+            w.key("certificate");
+            report.write_json(w);
+        })
+    }) + "\n";
     std::fs::write(&h.args.out, &doc).map_err(|e| e.to_string())?;
     print!("{doc}");
     eprintln!(

@@ -65,4 +65,3 @@ pub use sim::FlitSim;
 pub use stats::{saturation_throughput, LoadPoint, SimStats};
 pub use sweep::{load_grid, run_sweep, run_sweep_with_preflight, SweepError};
 pub use traffic_mode::TrafficMode;
-pub use util::Slab;

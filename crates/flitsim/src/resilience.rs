@@ -33,7 +33,7 @@ pub enum XferState {
 }
 
 /// One reliable packet transfer. Each retransmission creates a fresh
-/// [`Packet`](crate::Slab) copy pointing back at this record.
+/// packet copy pointing back at this record.
 #[derive(Debug, Clone, Copy)]
 pub struct Transfer {
     /// Creation sequence number, unique over the simulation lifetime.
@@ -81,7 +81,7 @@ pub fn backoff_deadline(now: u64, timeout: u64, sends: u32) -> u64 {
 pub struct RetxLedger {
     /// Live transfer records (resolved records are reaped once their
     /// last copy drains, so memory tracks in-flight work, not history).
-    pub transfers: Slab<Transfer>,
+    pub(crate) transfers: Slab<Transfer>,
     /// Pending delivery timeouts.
     pub timeouts: BinaryHeap<TimeoutEntry>,
     /// Lifetime transfers created.

@@ -150,7 +150,7 @@ pub(crate) fn find_cyclic<T>(
 /// the orphaned flit, keep the run alive) while debug builds still
 /// assert the invariant at every call site.
 #[derive(Debug, Clone)]
-pub struct Slab<T> {
+pub(crate) struct Slab<T> {
     slots: Vec<Option<T>>,
     free: Vec<u32>,
     len: usize,
@@ -164,7 +164,7 @@ impl<T> Default for Slab<T> {
 
 impl<T> Slab<T> {
     /// An empty slab.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Slab {
             slots: Vec::new(),
             free: Vec::new(),
@@ -173,7 +173,7 @@ impl<T> Slab<T> {
     }
 
     /// Insert a value and return its key.
-    pub fn insert(&mut self, value: T) -> u32 {
+    pub(crate) fn insert(&mut self, value: T) -> u32 {
         self.len += 1;
         if let Some(key) = self.free.pop() {
             debug_assert!(self.slots[ix(key)].is_none());
@@ -188,7 +188,7 @@ impl<T> Slab<T> {
     /// Remove and return the value under `key`, or `None` if the slot is
     /// vacant or the key was never issued (a double-free is a simulator
     /// bug the caller surfaces).
-    pub fn remove(&mut self, key: u32) -> Option<T> {
+    pub(crate) fn remove(&mut self, key: u32) -> Option<T> {
         let v = self.slots.get_mut(ix(key))?.take()?;
         self.free.push(key);
         self.len -= 1;
@@ -196,17 +196,17 @@ impl<T> Slab<T> {
     }
 
     /// Shared access to a live slot (`None` if vacant).
-    pub fn get(&self, key: u32) -> Option<&T> {
+    pub(crate) fn get(&self, key: u32) -> Option<&T> {
         self.slots.get(ix(key))?.as_ref()
     }
 
     /// Mutable access to a live slot (`None` if vacant).
-    pub fn get_mut(&mut self, key: u32) -> Option<&mut T> {
+    pub(crate) fn get_mut(&mut self, key: u32) -> Option<&mut T> {
         self.slots.get_mut(ix(key))?.as_mut()
     }
 
     /// Iterate over live entries as `(key, &value)`, in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
         self.slots
             .iter()
             .enumerate()
@@ -214,18 +214,8 @@ impl<T> Slab<T> {
     }
 
     /// Number of live entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether the slab holds no live entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Capacity high-water mark (total slots ever allocated).
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 }
 
@@ -296,7 +286,6 @@ mod tests {
         s.remove(a);
         let b = s.insert(2);
         assert_eq!(a, b, "freed slot must be reused");
-        assert_eq!(s.capacity(), 1);
     }
 
     #[test]
@@ -304,12 +293,12 @@ mod tests {
         let mut s = Slab::new();
         for round in 0..10 {
             let keys: Vec<u32> = (0..5).map(|i| s.insert(round * 10 + i)).collect();
+            assert!(keys.iter().all(|&k| k < 5), "round {round}: {keys:?}");
             for k in keys {
                 s.remove(k);
             }
         }
-        assert!(s.is_empty());
-        assert_eq!(s.capacity(), 5);
+        assert_eq!(s.len(), 0);
     }
 
     #[test]

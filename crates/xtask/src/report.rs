@@ -9,7 +9,7 @@
 //! only the leaf `lmpr-codec`, so the types are local rather than
 //! imported.)
 
-use lmpr_codec::json::json_string;
+use lmpr_codec::json::document;
 use std::fmt;
 
 /// How bad a finding is. Both kinds fail the gate (the ratchet is
@@ -145,49 +145,37 @@ pub struct Report {
 }
 
 impl Report {
-    /// Render as pretty-printed JSON (hand-rolled — no serde in the
-    /// build environment; layout matches `lmpr_verify::diag::Report`).
+    /// Render as a pretty-printed JSON document, laid out like
+    /// `lmpr_verify::diag::Report`'s.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"tool\": \"xtask-analyze\",\n");
-        out.push_str(&format!("  \"certified\": {},\n", self.certified));
-        out.push_str("  \"checks\": [");
-        for (i, c) in self.checks.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{ \"rule\": \"{}\", \"inspected\": {}, \"findings\": {} }}",
-                c.rule, c.inspected, c.findings
-            ));
-        }
-        out.push_str(if self.checks.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-        out.push_str("  \"findings\": [");
-        for (i, d) in self.findings.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"rule\": \"{}\",\n", d.rule));
-            out.push_str(&format!("      \"severity\": \"{}\",\n", d.severity));
-            out.push_str(&format!(
-                "      \"message\": {},\n",
-                json_string(&d.message)
-            ));
-            out.push_str(&format!(
-                "      \"witness\": {{ \"file\": {}, \"line\": {} }}\n",
-                json_string(&d.file),
-                d.line
-            ));
-            out.push_str("    }");
-        }
-        out.push_str(if self.findings.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        out.push('}');
-        out
+        document(|w| {
+            w.obj(|w| {
+                w.key("tool").str("xtask-analyze");
+                w.key("certified").bool(self.certified);
+                w.key("checks").arr(|w| {
+                    for c in &self.checks {
+                        w.obj_line(|w| {
+                            w.key("rule").str(c.rule.as_str());
+                            w.key("inspected").int(c.inspected);
+                            w.key("findings").int(c.findings);
+                        });
+                    }
+                });
+                w.key("findings").arr(|w| {
+                    for d in &self.findings {
+                        w.obj(|w| {
+                            w.key("rule").str(d.rule.as_str());
+                            w.key("severity").str(&d.severity.to_string());
+                            w.key("message").str(&d.message);
+                            w.key("witness").obj_line(|w| {
+                                w.key("file").str(&d.file);
+                                w.key("line").int(d.line);
+                            });
+                        });
+                    }
+                });
+            })
+        })
     }
 }
 
@@ -223,15 +211,11 @@ mod tests {
         let j = r.to_json();
         assert!(j.contains("\"rule\": \"DET-ORDER\""));
         assert!(j.contains("\\\"counts\\\"\\nunordered"));
-        assert!(j.contains("\"line\": 513"));
         assert!(j.contains("\"certified\": false"));
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(
-                j.matches(open).count(),
-                j.matches(close).count(),
-                "unbalanced {open}{close}"
-            );
-        }
+        assert!(j.contains(
+            "\"witness\": {\"file\": \"crates/verify/src/coverage.rs\", \"line\": 513}\n"
+        ));
+        lmpr_codec::json::parse(&j).expect("the report parses");
     }
 
     #[test]
