@@ -14,8 +14,8 @@ echo "==> crate graph and one-definition gate"
 # The daemon reads a socket; it must not link the experiment harness or
 # the flit simulator to do so. And the byte-level primitives every
 # golden, checkpoint and wire reply rests on — FNV-1a, SplitMix64, the
-# JSON string escaper — are each written once, in crates/codec (the
-# test-only proptest stand-in keeps its own).
+# JSON string escaper — are each written once, in crates/codec, and the
+# seeded property cases draw from those same two.
 if cargo tree -p lmpr-ctld -e normal --offline | grep -E "lmpr-(bench|flitsim) "; then
   echo "lmpr-ctld must not depend on lmpr-bench or lmpr-flitsim" >&2
   exit 1
@@ -23,7 +23,7 @@ fi
 if grep -rniE --include="*.rs" \
      "0100_?0000_?01b3|bf58_?476d_?1ce4_?e5b9|7f4a_?7c15|fn json_string" \
      crates src tests examples |
-   grep -vE "^crates/(codec|proptest)/"; then
+   grep -v "^crates/codec/"; then
   echo "FNV-1a / SplitMix64 / json_string redefined outside crates/codec" >&2
   exit 1
 fi
@@ -55,6 +55,16 @@ if grep -rnE --include="*.rs" "rand::|SmallRng|criterion|perf_baseline" \
      crates src tests examples ||
    cargo tree --workspace -e all --offline | grep -E " (rand|criterion) v"; then
   echo "rand / SmallRng / criterion / perf_baseline are retired" >&2
+  exit 1
+fi
+# Properties run on lmpr_codec::cases: plain functions of a seeded
+# CaseRng and the standard assert macros. The proptest stand-in, whose
+# macro added syntax but no shrinking, stays retired.
+if grep -rnE --include="*.rs" --include="Cargo.toml" \
+     "proptest|prop_assert|prop_assume|ProptestConfig" \
+     Cargo.toml crates src tests examples ||
+   cargo tree --workspace -e all --offline | grep -E "proptest v"; then
+  echo "proptest / prop_assert / prop_assume / ProptestConfig are retired" >&2
   exit 1
 fi
 # A chaos sweep is deterministic and short, so a killed one is rerun:

@@ -13,12 +13,15 @@
 //! * [`splitmix`] — the SplitMix64 finaliser and stream step.
 //! * [`xoshiro`] — the xoshiro256++ generator behind every full random
 //!   stream (path samples, permutations, flit arrivals).
+//! * [`cases`] — seeded property cases for the workspace's tests: a
+//!   SplitMix64 stream seeded by the FNV-1a of the property's name.
 //!
 //! The crate has no dependencies and never panics on input: it parses
 //! untrusted socket bytes for `lmpr-ctld`.
 
 #![forbid(unsafe_code)]
 
+pub mod cases;
 pub mod envelope;
 pub mod fnv;
 pub mod json;

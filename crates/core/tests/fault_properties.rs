@@ -9,38 +9,35 @@
 //! indistinguishable from the exhaustive walk of every cached entry it
 //! replaced.
 
+use lmpr_codec::cases::{self, CaseRng};
 use lmpr_codec::splitmix::next as splitmix;
 use lmpr_core::{
     route_key, Disjoint, DisjointStride, RandomK, RouteError, Router, RouterKind, SelectionEngine,
     ShiftOne,
 };
-use proptest::prelude::*;
 use xgft::{DirectedLinkId, FaultChange, FaultSet, NodeId, PathId, PnId, Topology, XgftSpec};
 
-fn arb_topo() -> impl Strategy<Value = Topology> {
-    (1usize..=3)
-        .prop_flat_map(|h| {
-            (
-                prop::collection::vec(2u32..=4, h),
-                prop::collection::vec(1u32..=4, h),
-            )
-        })
-        .prop_map(|(m, w)| Topology::new(XgftSpec::new(&m, &w).expect("valid spec")))
+/// A random tree: height 1..=3, then `m` in 2..=4 and `w` in 1..=4
+/// drawn independently per level.
+fn arb_topo(rng: &mut CaseRng) -> Topology {
+    let h = rng.range(1..=3);
+    let m: Vec<u32> = (0..h).map(|_| rng.range(2..=4) as u32).collect();
+    let w: Vec<u32> = (0..h).map(|_| rng.range(1..=4) as u32).collect();
+    Topology::new(XgftSpec::new(&m, &w).expect("valid spec"))
 }
 
 /// Topology, SD pair, budget and a sampled fault set: up to 40 % of
 /// links, so top-up scans wrap past the end of the enumeration and some
 /// pairs lose every path.
-fn degraded_case() -> impl Strategy<Value = (Topology, PnId, PnId, u64, FaultSet)> {
-    arb_topo().prop_flat_map(|t| {
-        let n = t.num_pns();
-        (Just(t), 0..n, 0..n, 1u64..=10, 0u64..=200, 0u32..=40).prop_map(
-            |(t, s, d, k, seed, rate_pct)| {
-                let faults = FaultSet::sample(&t, rate_pct as f64 / 100.0, 0.0, seed);
-                (t, PnId(s), PnId(d), k, faults)
-            },
-        )
-    })
+fn degraded_case(rng: &mut CaseRng) -> (Topology, PnId, PnId, u64, FaultSet) {
+    let t = arb_topo(rng);
+    let n = u64::from(t.num_pns());
+    let s = PnId(rng.below(n) as u32);
+    let d = PnId(rng.below(n) as u32);
+    let k = rng.range(1..=10);
+    let seed = rng.range(0..=200);
+    let faults = FaultSet::sample(&t, rng.range(0..=40) as f64 / 100.0, 0.0, seed);
+    (t, s, d, k, faults)
 }
 
 fn all_limited_routers(k: u64) -> Vec<Box<dyn Router>> {
@@ -156,13 +153,13 @@ fn draw_batch(topo: &Topology, view: &FaultSet, rng: &mut u64) -> Vec<FaultChang
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn scoped_flush_equals_the_exhaustive_walk(
-        (t, seed, scheme, k) in (arb_topo(), 0u64..=u64::MAX, 0u8..=4, 1u64..=6)
-    ) {
+#[test]
+fn scoped_flush_equals_the_exhaustive_walk() -> Result<(), String> {
+    cases::run("scoped_flush_equals_the_exhaustive_walk", 96, |rng| {
+        let t = arb_topo(rng);
+        let seed = rng.next_u64();
+        let scheme = rng.range(0..=4);
+        let k = rng.range(1..=6);
         let kind = match scheme {
             0 => RouterKind::DModK,
             1 => RouterKind::ShiftOne(k),
@@ -174,7 +171,8 @@ proptest! {
         let n = t.num_pns();
         let rate = (splitmix(&mut rng) % 10) as f64 / 100.0;
         let switch_rate = (splitmix(&mut rng) % 2) as f64 * 0.05;
-        let mut engine = SelectionEngine::cached(kind, FaultSet::sample(&t, rate, switch_rate, seed));
+        let mut engine =
+            SelectionEngine::cached(kind, FaultSet::sample(&t, rate, switch_rate, seed));
         let (mut warm, mut cold) = (Vec::new(), Vec::new());
         for _round in 0..4 {
             // Warm-cache contents: a random multiset of pairs, so the
@@ -200,20 +198,25 @@ proptest! {
 
             let mut flushed = vec![u64::MAX]; // appended to, never cleared
             let count = engine.apply_changes_collect(&t, &changes, &mut flushed);
-            prop_assert_eq!(&flushed[1..], &expected[..], "flushed keys for {:?}", &changes);
-            prop_assert_eq!(flushed[0], u64::MAX);
-            prop_assert_eq!(count, expected.len() as u64);
-            prop_assert_eq!(uncollected, count);
+            assert_eq!(
+                &flushed[1..],
+                &expected[..],
+                "flushed keys for {:?}",
+                &changes
+            );
+            assert_eq!(flushed[0], u64::MAX);
+            assert_eq!(count, expected.len() as u64);
+            assert_eq!(uncollected, count);
             let after = engine.stats();
-            prop_assert_eq!(after.invalidated, before.invalidated + count);
-            prop_assert_eq!((after.hits, after.misses), (before.hits, before.misses));
+            assert_eq!(after.invalidated, before.invalidated + count);
+            assert_eq!((after.hits, after.misses), (before.hits, before.misses));
             // What was not flushed is exactly what was there.
             let kept: Vec<(PnId, PnId, Vec<PathId>, bool)> = engine
                 .cached_selections()
                 .into_iter()
                 .map(|(s, d, sel)| (s, d, sel.paths.clone(), sel.degraded))
                 .collect();
-            prop_assert_eq!(kept, survivors);
+            assert_eq!(kept, survivors);
             // And it was enough: every pair, answered through the
             // surviving cache, equals a cold recomputation.
             let mut probe = engine.clone();
@@ -222,106 +225,133 @@ proptest! {
                 for d in (0..n).map(PnId).filter(|&d| d != s) {
                     let w = probe.try_select(&t, s, d, &mut warm);
                     let c = reference.try_select(&t, s, d, &mut cold);
-                    prop_assert_eq!(w, c, "({:?}, {:?}) after {:?}", s, d, &changes);
-                    prop_assert_eq!(&warm, &cold, "({:?}, {:?}) after {:?}", s, d, &changes);
+                    assert_eq!(w, c, "({:?}, {:?}) after {:?}", s, d, &changes);
+                    assert_eq!(&warm, &cold, "({:?}, {:?}) after {:?}", s, d, &changes);
                 }
             }
         }
-    }
+        Ok(())
+    })
+}
 
-    #[test]
-    fn engine_degrades_exactly_as_the_walked_reference(
-        (t, seed, k, link_pct, switch_pct) in (arb_topo(), 0u64..=u64::MAX, 1u64..=8, 0u32..=40, 0u32..=40)
-    ) {
-        let (link, switch) = (f64::from(link_pct) / 100.0, f64::from(switch_pct) / 100.0);
-        let view = FaultSet::sample(&t, link, switch, seed);
-        let n = t.num_pns();
-        let (mut got, mut want) = (Vec::new(), Vec::new());
-        for kind in [
-            RouterKind::DModK,
-            RouterKind::SModK,
-            RouterKind::ShiftOne(k),
-            RouterKind::Disjoint(k),
-            RouterKind::DisjointStride(k),
-            RouterKind::RandomK(k, seed),
-            RouterKind::Umulti,
-        ] {
-            let mut engine = SelectionEngine::with_view(kind, view.clone());
-            for s in (0..n).map(PnId) {
-                for d in (0..n).map(PnId) {
-                    let result = engine.try_select(&t, s, d, &mut got);
-                    kind.fill_paths(&t, s, d, &mut want);
-                    let reference = walked_degrade_selection(&t, s, d, &view, &mut want);
-                    prop_assert_eq!(result, reference, "{} ({:?}, {:?})", kind.name(), s, d);
-                    prop_assert_eq!(&got, &want, "{} ({:?}, {:?})", kind.name(), s, d);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn degraded_sets_are_surviving_subsets_of_the_enumeration(
-        (t, s, d, k, faults) in degraded_case()
-    ) {
-        let x = t.num_paths(s, d);
-        let surviving = faults.num_surviving(&t, s, d);
-        for r in all_limited_routers(k) {
-            let name = r.name();
-            let mut engine = SelectionEngine::with_view(r, faults.clone());
-            let mut out: Vec<PathId> = Vec::new();
-            match engine.try_select(&t, s, d, &mut out) {
-                Ok(_) => {
-                    // Cardinality: min(K, surviving X).
-                    prop_assert_eq!(
-                        out.len() as u64, k.min(surviving),
-                        "router {} cardinality", &name
-                    );
-                    for &p in &out {
-                        // Subset of the fault-free enumeration…
-                        prop_assert!(p.0 < x, "router {} out-of-range id", &name);
-                        // …using only surviving links.
-                        prop_assert!(
-                            faults.path_survives(&t, s, d, p),
-                            "router {} selected a dead path", &name
-                        );
+#[test]
+fn engine_degrades_exactly_as_the_walked_reference() -> Result<(), String> {
+    cases::run(
+        "engine_degrades_exactly_as_the_walked_reference",
+        96,
+        |rng| {
+            let t = arb_topo(rng);
+            let seed = rng.next_u64();
+            let k = rng.range(1..=8);
+            let link = rng.range(0..=40) as f64 / 100.0;
+            let switch = rng.range(0..=40) as f64 / 100.0;
+            let view = FaultSet::sample(&t, link, switch, seed);
+            let n = t.num_pns();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for kind in [
+                RouterKind::DModK,
+                RouterKind::SModK,
+                RouterKind::ShiftOne(k),
+                RouterKind::Disjoint(k),
+                RouterKind::DisjointStride(k),
+                RouterKind::RandomK(k, seed),
+                RouterKind::Umulti,
+            ] {
+                let mut engine = SelectionEngine::with_view(kind, view.clone());
+                for s in (0..n).map(PnId) {
+                    for d in (0..n).map(PnId) {
+                        let result = engine.try_select(&t, s, d, &mut got);
+                        kind.fill_paths(&t, s, d, &mut want);
+                        let reference = walked_degrade_selection(&t, s, d, &view, &mut want);
+                        assert_eq!(result, reference, "{} ({:?}, {:?})", kind.name(), s, d);
+                        assert_eq!(&got, &want, "{} ({:?}, {:?})", kind.name(), s, d);
                     }
-                    let mut ids: Vec<u64> = out.iter().map(|p| p.0).collect();
-                    ids.sort_unstable();
-                    ids.dedup();
-                    prop_assert_eq!(ids.len(), out.len(), "router {} duplicates", &name);
-                }
-                Err(e) => {
-                    prop_assert_eq!(surviving, 0, "router {} spurious error", &name);
-                    prop_assert_eq!(e, RouteError::Disconnected { src: s, dst: d });
-                    prop_assert!(out.is_empty());
                 }
             }
-        }
-    }
+            Ok(())
+        },
+    )
+}
 
-    #[test]
-    fn empty_fault_set_reproduces_every_heuristic_bit_for_bit(
-        (t, s, d, k, _faults) in degraded_case()
-    ) {
-        for r in all_limited_routers(k) {
-            let plain = r.path_set(&t, s, d);
-            let name = r.name();
-            let mut engine = SelectionEngine::new(r);
-            let mut out = Vec::new();
-            prop_assert_eq!(engine.try_select(&t, s, d, &mut out), Ok(false));
-            prop_assert_eq!(&out[..], plain.paths(), "engine altered {}", &name);
-            // The infallible trait path agrees too, under the same name.
-            prop_assert_eq!(engine.path_set(&t, s, d), plain);
-            prop_assert_eq!(engine.name(), name);
-        }
-    }
+#[test]
+fn degraded_sets_are_surviving_subsets_of_the_enumeration() -> Result<(), String> {
+    cases::run(
+        "degraded_sets_are_surviving_subsets_of_the_enumeration",
+        96,
+        |rng| {
+            let (t, s, d, k, faults) = degraded_case(rng);
+            let x = t.num_paths(s, d);
+            let surviving = faults.num_surviving(&t, s, d);
+            for r in all_limited_routers(k) {
+                let name = r.name();
+                let mut engine = SelectionEngine::with_view(r, faults.clone());
+                let mut out: Vec<PathId> = Vec::new();
+                match engine.try_select(&t, s, d, &mut out) {
+                    Ok(_) => {
+                        // Cardinality: min(K, surviving X).
+                        assert_eq!(
+                            out.len() as u64,
+                            k.min(surviving),
+                            "router {} cardinality",
+                            &name
+                        );
+                        for &p in &out {
+                            // Subset of the fault-free enumeration…
+                            assert!(p.0 < x, "router {} out-of-range id", &name);
+                            // …using only surviving links.
+                            assert!(
+                                faults.path_survives(&t, s, d, p),
+                                "router {} selected a dead path",
+                                &name
+                            );
+                        }
+                        let mut ids: Vec<u64> = out.iter().map(|p| p.0).collect();
+                        ids.sort_unstable();
+                        ids.dedup();
+                        assert_eq!(ids.len(), out.len(), "router {} duplicates", &name);
+                    }
+                    Err(e) => {
+                        assert_eq!(surviving, 0, "router {} spurious error", &name);
+                        assert_eq!(e, RouteError::Disconnected { src: s, dst: d });
+                        assert!(out.is_empty());
+                    }
+                }
+            }
+            Ok(())
+        },
+    )
+}
 
-    #[test]
-    fn disconnection_matches_the_connectivity_oracle(
-        (t, s, d, k, faults) in degraded_case()
-    ) {
+#[test]
+fn empty_fault_set_reproduces_every_heuristic_bit_for_bit() -> Result<(), String> {
+    cases::run(
+        "empty_fault_set_reproduces_every_heuristic_bit_for_bit",
+        96,
+        |rng| {
+            let (t, s, d, k, _faults) = degraded_case(rng);
+            for r in all_limited_routers(k) {
+                let plain = r.path_set(&t, s, d);
+                let name = r.name();
+                let mut engine = SelectionEngine::new(r);
+                let mut out = Vec::new();
+                assert_eq!(engine.try_select(&t, s, d, &mut out), Ok(false));
+                assert_eq!(&out[..], plain.paths(), "engine altered {}", &name);
+                // The infallible trait path agrees too, under the same name.
+                assert_eq!(engine.path_set(&t, s, d), plain);
+                assert_eq!(engine.name(), name);
+            }
+            Ok(())
+        },
+    )
+}
+
+#[test]
+fn disconnection_matches_the_connectivity_oracle() -> Result<(), String> {
+    cases::run("disconnection_matches_the_connectivity_oracle", 96, |rng| {
+        let (t, s, d, k, faults) = degraded_case(rng);
         let mut engine = SelectionEngine::with_view(Disjoint::new(k), faults.clone());
         let routed = engine.try_select(&t, s, d, &mut Vec::new()).is_ok();
-        prop_assert_eq!(routed, faults.connected(&t, s, d));
-    }
+        assert_eq!(routed, faults.connected(&t, s, d));
+        Ok(())
+    })
 }

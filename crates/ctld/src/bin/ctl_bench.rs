@@ -19,7 +19,6 @@
 use lmpr_codec::json::document;
 use lmpr_core::{Router, RouterKind};
 use lmpr_ctld::{read_frame, write_frame, Controller, CtlConfig, Request, Response, ServerConfig};
-use std::io::Write as _;
 use std::os::unix::net::UnixStream;
 use std::time::Instant;
 use xgft::FaultSchedule;
@@ -114,6 +113,7 @@ fn query_worker(
 
 fn run() -> Result<(), String> {
     let args = parse_args()?;
+    lmpr_ctld::check_out_path(&args.out)?;
     let (horizon, tick_step, workers) = if args.quick {
         (20_000u64, 1_000u64, 2usize)
     } else {
@@ -250,8 +250,7 @@ fn run() -> Result<(), String> {
             });
         })
     }) + "\n";
-    let mut f = std::fs::File::create(&args.out).map_err(|e| e.to_string())?;
-    f.write_all(doc.as_bytes()).map_err(|e| e.to_string())?;
+    std::fs::write(&args.out, &doc).map_err(|e| format!("cannot write {}: {e}", args.out))?;
     eprintln!(
         "ctl_bench: {epoch} epochs, {reconv_count} reconvergences \
          (mean {mean_us:.0} us, max {reconv_max_us} us), {per_sec:.0} queries/sec -> {}",

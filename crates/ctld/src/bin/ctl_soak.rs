@@ -642,6 +642,7 @@ impl Harness {
 
 fn run() -> Result<i32, String> {
     let args = parse_args()?;
+    lmpr_ctld::check_out_path(&args.out)?;
     let scratch = std::env::temp_dir().join(format!("ctl-soak-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
     std::fs::create_dir_all(&scratch).map_err(|e| e.to_string())?;
@@ -854,7 +855,7 @@ fn run() -> Result<i32, String> {
             report.write_json(w);
         })
     }) + "\n";
-    std::fs::write(&h.args.out, &doc).map_err(|e| e.to_string())?;
+    std::fs::write(&h.args.out, &doc).map_err(|e| format!("cannot write {}: {e}", h.args.out))?;
     print!("{doc}");
     eprintln!(
         "ctl_soak: {} batches, {} faults ({} crashes), {} restarts ({} induced), \

@@ -909,6 +909,7 @@ impl<S: Write> Write for FaultyStream<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lmpr_codec::cases;
 
     #[test]
     fn plans_round_trip_through_the_repro_string() {
@@ -950,30 +951,33 @@ mod tests {
         }
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+    #[test]
+    fn every_plan_round_trips_through_its_repro_string() -> Result<(), String> {
+        cases::run(
+            "every_plan_round_trips_through_its_repro_string",
+            512,
+            |rng| {
+                let seed = rng.below(u64::MAX);
+                let s = rng.below(1000) as u16;
+                let w = rng.below(1000) as u16;
+                let c = rng.below(1000) as u16;
+                let nd = rng.below(2) as u8;
+                let plan = FailPlan {
+                    no_drop: nd == 1,
+                    ..FailPlan::new(seed, s, w, c)
+                };
+                let text = plan.to_string();
+                assert_eq!(FailPlan::parse(&text), Ok(plan));
+                Ok(())
+            },
+        )
+    }
 
-        #[test]
-        fn every_plan_round_trips_through_its_repro_string(
-            seed in 0u64..u64::MAX,
-            s in 0u16..1000,
-            w in 0u16..1000,
-            c in 0u16..1000,
-            nd in 0u8..2,
-        ) {
-            let plan = FailPlan {
-                no_drop: nd == 1,
-                ..FailPlan::new(seed, s, w, c)
-            };
-            let text = plan.to_string();
-            proptest::prop_assert_eq!(FailPlan::parse(&text), Ok(plan));
-        }
-
-        #[test]
-        fn parse_is_total_over_arbitrary_byte_soup(
-            bytes in proptest::collection::vec(0u8..=255, 16),
-            cut in 0usize..=16,
-        ) {
+    #[test]
+    fn parse_is_total_over_arbitrary_byte_soup() -> Result<(), String> {
+        cases::run("parse_is_total_over_arbitrary_byte_soup", 512, |rng| {
+            let bytes: Vec<u8> = (0..16).map(|_| rng.range(0..=255) as u8).collect();
+            let cut = rng.range(0..=16) as usize;
             // Raw bytes, lossily decoded, at every prefix length: the
             // parser must return (Ok or Err), never panic or slice
             // mid-codepoint.
@@ -981,22 +985,25 @@ mod tests {
             let _ = FailPlan::parse(&soup);
             let _ = FailPlan::parse(&format!("fp1:{soup}"));
             let _ = FailPlan::parse(&format!("fp1:7:{soup}"));
-        }
+            Ok(())
+        })
+    }
 
-        #[test]
-        fn oversized_rates_error_instead_of_wrapping(
-            seed in 0u64..u64::MAX,
-            rate in 0u64..u64::MAX,
-        ) {
+    #[test]
+    fn oversized_rates_error_instead_of_wrapping() -> Result<(), String> {
+        cases::run("oversized_rates_error_instead_of_wrapping", 512, |rng| {
+            let seed = rng.below(u64::MAX);
+            let rate = rng.below(u64::MAX);
             let text = format!("fp1:{seed}:s{rate}");
             match FailPlan::parse(&text) {
                 Ok(plan) => {
-                    proptest::prop_assert!(rate < 1000, "accepted rate {rate}");
-                    proptest::prop_assert_eq!(u64::from(plan.storage_permille), rate);
+                    assert!(rate < 1000, "accepted rate {rate}");
+                    assert_eq!(u64::from(plan.storage_permille), rate);
                 }
-                Err(_) => proptest::prop_assert!(rate >= 1000, "rejected rate {rate}"),
+                Err(_) => assert!(rate >= 1000, "rejected rate {rate}"),
             }
-        }
+            Ok(())
+        })
     }
 
     #[test]

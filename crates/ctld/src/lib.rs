@@ -84,3 +84,22 @@ pub use store::{Checkpoint, Store, StoreError};
 pub use wire::{
     read_frame, write_frame, ChangeSpec, ErrorCode, Request, Response, WireError, MAX_FRAME,
 };
+
+/// Check that an output document can be created at `path` — its
+/// directory exists — so a binary refuses a bad `--out` before it runs
+/// rather than after. The error reads `cannot write PATH: …`, as a
+/// failed final write does.
+pub fn check_out_path(path: &str) -> Result<(), String> {
+    let dir = std::path::Path::new(path)
+        .parent()
+        .filter(|d| !d.as_os_str().is_empty())
+        .unwrap_or(std::path::Path::new("."));
+    match std::fs::metadata(dir) {
+        Ok(meta) if meta.is_dir() => Ok(()),
+        Ok(_) => Err(format!(
+            "cannot write {path}: {} is not a directory",
+            dir.display()
+        )),
+        Err(e) => Err(format!("cannot write {path}: {e}")),
+    }
+}

@@ -67,8 +67,7 @@ const ANALYZE_ROOTS: &[&str] = &[
 ];
 
 /// Crate source dirs whose roots (lib.rs / main.rs / bin/*.rs) must
-/// carry `#![forbid(unsafe_code)]`. The test-only `proptest` stand-in
-/// is out of scope.
+/// carry `#![forbid(unsafe_code)]`.
 const CRATE_SRC_DIRS: &[&str] = &[
     "src",
     "crates/codec/src",

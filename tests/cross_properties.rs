@@ -3,17 +3,15 @@
 
 use lmpr::flowsim::{ml_lower_bound, performance_ratio};
 use lmpr::prelude::*;
-use proptest::prelude::*;
+use lmpr_codec::cases::{self, CaseRng};
 
-fn arb_topo() -> impl Strategy<Value = Topology> {
-    (1usize..=3)
-        .prop_flat_map(|h| {
-            (
-                prop::collection::vec(2u32..=4, h),
-                prop::collection::vec(1u32..=3, h),
-            )
-        })
-        .prop_map(|(m, w)| Topology::new(XgftSpec::new(&m, &w).expect("valid")))
+/// A random tree: height 1..=3, then `m` in 2..=4 and `w` in 1..=3
+/// drawn independently per level.
+fn arb_topo(rng: &mut CaseRng) -> Topology {
+    let h = rng.range(1..=3);
+    let m: Vec<u32> = (0..h).map(|_| rng.range(2..=4) as u32).collect();
+    let w: Vec<u32> = (0..h).map(|_| rng.range(1..=3) as u32).collect();
+    Topology::new(XgftSpec::new(&m, &w).expect("valid"))
 }
 
 fn arb_router(k: u64, seed: u64) -> Vec<RouterKind> {
@@ -28,72 +26,75 @@ fn arb_router(k: u64, seed: u64) -> Vec<RouterKind> {
     ]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// PERF ≥ 1 for every router on every permutation, and UMULTI
-    /// pins the optimum (Theorem 1).
-    #[test]
-    fn performance_ratios_are_sane(
-        topo in arb_topo(),
-        seed in 0u64..1000,
-        k in 1u64..=6,
-    ) {
+/// PERF ≥ 1 for every router on every permutation, and UMULTI
+/// pins the optimum (Theorem 1).
+#[test]
+fn performance_ratios_are_sane() -> Result<(), String> {
+    cases::run("performance_ratios_are_sane", 48, |rng| {
+        let topo = arb_topo(rng);
+        let seed = rng.below(1000);
+        let k = rng.range(1..=6);
         let tm = TrafficMatrix::permutation(&random_permutation(topo.num_pns(), seed));
         let opt = ml_lower_bound(&topo, &tm);
         for r in arb_router(k, seed) {
             let ratio = performance_ratio(&topo, &r, &tm);
-            prop_assert!(ratio >= 1.0 - 1e-9, "{} ratio {ratio} < 1", r.name());
+            assert!(ratio >= 1.0 - 1e-9, "{} ratio {ratio} < 1", r.name());
         }
         if opt > 0.0 {
             let u = performance_ratio(&topo, &RouterKind::Umulti, &tm);
-            prop_assert!((u - 1.0).abs() < 1e-9, "UMULTI ratio {u} != 1");
+            assert!((u - 1.0).abs() < 1e-9, "UMULTI ratio {u} != 1");
         }
-    }
+        Ok(())
+    })
+}
 
-    /// Total routed volume is invariant across routers: every scheme
-    /// moves each flow over exactly 2·κ links' worth of demand.
-    #[test]
-    fn total_link_volume_is_router_independent(
-        topo in arb_topo(),
-        seed in 0u64..1000,
-        k in 1u64..=6,
-    ) {
+/// Total routed volume is invariant across routers: every scheme
+/// moves each flow over exactly 2·κ links' worth of demand.
+#[test]
+fn total_link_volume_is_router_independent() -> Result<(), String> {
+    cases::run("total_link_volume_is_router_independent", 48, |rng| {
+        let topo = arb_topo(rng);
+        let seed = rng.below(1000);
+        let k = rng.range(1..=6);
         let tm = TrafficMatrix::permutation(&random_permutation(topo.num_pns(), seed));
         let reference = LinkLoads::accumulate(&topo, &RouterKind::DModK, &tm).total();
         for r in arb_router(k, seed) {
             let total = LinkLoads::accumulate(&topo, &r, &tm).total();
-            prop_assert!(
+            assert!(
                 (total - reference).abs() < 1e-6,
                 "{} moved {total}, expected {reference}",
                 r.name()
             );
         }
-    }
+        Ok(())
+    })
+}
 
-    /// Increasing K never increases the max load under the deterministic
-    /// heuristics *on the worst link of a fixed permutation in
-    /// expectation-free form*: we assert the weaker, always-true variant
-    /// MLOAD(K = X) ≤ MLOAD(K = 1).
-    #[test]
-    fn full_budget_never_loses_to_single_path(
-        topo in arb_topo(),
-        seed in 0u64..1000,
-    ) {
+/// Increasing K never increases the max load under the deterministic
+/// heuristics *on the worst link of a fixed permutation in
+/// expectation-free form*: we assert the weaker, always-true variant
+/// MLOAD(K = X) ≤ MLOAD(K = 1).
+#[test]
+fn full_budget_never_loses_to_single_path() -> Result<(), String> {
+    cases::run("full_budget_never_loses_to_single_path", 48, |rng| {
+        let topo = arb_topo(rng);
+        let seed = rng.below(1000);
         let tm = TrafficMatrix::permutation(&random_permutation(topo.num_pns(), seed));
         let x = topo.w_prod(topo.height());
         let single = LinkLoads::accumulate(&topo, &RouterKind::DModK, &tm).max_load();
         let full = LinkLoads::accumulate(&topo, &RouterKind::Disjoint(x), &tm).max_load();
-        prop_assert!(full <= single + 1e-9);
-    }
+        assert!(full <= single + 1e-9);
+        Ok(())
+    })
+}
 
-    /// The flit simulator conserves flits for arbitrary small runs.
-    #[test]
-    fn flit_conservation_on_random_configs(
-        seed in 0u64..100,
-        load_pct in 10u32..=100,
-        k in 1u64..=4,
-    ) {
+/// The flit simulator conserves flits for arbitrary small runs.
+#[test]
+fn flit_conservation_on_random_configs() -> Result<(), String> {
+    cases::run("flit_conservation_on_random_configs", 48, |rng| {
+        let seed = rng.below(100);
+        let load_pct = rng.range(10..=100) as u32;
+        let k = rng.range(1..=4);
         let topo = Topology::new(XgftSpec::new(&[2, 4], &[1, 2]).unwrap());
         let cfg = SimConfig {
             warmup_cycles: 200,
@@ -110,6 +111,7 @@ proptest! {
             sim.step();
         }
         let (injected, delivered) = sim.lifetime_counters();
-        prop_assert_eq!(injected, delivered + sim.flits_in_network());
-    }
+        assert_eq!(injected, delivered + sim.flits_in_network());
+        Ok(())
+    })
 }
