@@ -235,18 +235,27 @@ timeout 120 bash -c '
 echo "==> ctl_soak chaos + failover smoke (seeded failpoint soak, 120 s budget)"
 # Seeded chaos soak (DESIGN.md §13–14): daemon + feeder + query
 # workers under the escalating failpoint schedule (≥100 injected
-# faults, ≥10 induced crash-restarts), then the failover phase — a hot
-# standby replicates the primary and every daemon death promotes it
-# (≥3 promotions) under wire + storage chaos. Every invariant is
-# machine-checked (CTL-SOAK-EPOCH/SERVE/RECOVER/BATCH/FAILOVER/GEN).
-# The binary exits non-zero on any invariant violation; two runs with
-# the same seed must produce byte-identical documents, because every
-# interleaving is a pure function of the seed (repro fp1:11:s0:w0:c0).
+# daemon-side faults, ≥10 induced crash-restarts), then the failover
+# phase — a hot standby replicates the primary and every daemon death
+# promotes it (≥3 promotions) under wire + storage chaos. Every
+# invariant is machine-checked (CTL-SOAK-EPOCH/SERVE/RECOVER/BATCH/
+# FAILOVER/GEN). The binary exits non-zero on any invariant violation.
+# The document holds only logical fields, each a pure function of the
+# seed (repro fp1:11:s0:w0:c0); wall-clock tallies — the feeder's own
+# wire faults, reconnects and resubmissions, query and standby counts —
+# go to stderr. So two runs with the same seed must produce
+# byte-identical documents, and seed 42 must reproduce the committed
+# CTL_SOAK.json that EXPERIMENTS.md E16/E17 quote.
 cargo build -q --release -p lmpr-ctld --bin ctl_soak
 timeout 120 bash -c '
   set -euo pipefail
   dir=$(mktemp -d)
   trap "rm -rf \"$dir\"" EXIT
+  ./target/release/ctl_soak --seed 42 --out "$dir/committed.json" \
+      > /dev/null 2> /dev/null
+  cmp "$dir/committed.json" CTL_SOAK.json || {
+    echo "seed-42 soak document differs from the committed CTL_SOAK.json" >&2
+    exit 1; }
   ./target/release/ctl_soak --seed 11 --out "$dir/a.json" \
       > /dev/null 2> /dev/null
   ./target/release/ctl_soak --seed 11 --out "$dir/b.json" \
