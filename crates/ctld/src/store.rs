@@ -716,6 +716,217 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// One commit (two for the prune case) on a fresh directory under
+    /// each storage fault kind. Each plan is found by searching seeds for
+    /// the wanted decision at the wanted op index, with every other op
+    /// the commit makes left clean. Each case checks what lands on disk,
+    /// what the counters say and what recovery then picks.
+    #[test]
+    fn each_storage_fault_leaves_what_recovery_expects() {
+        use crate::failpoint::{
+            ErrorModel, FailPlan, FaultCounters, StorageFault, SITE_CREATE, SITE_REMOVE,
+            SITE_RENAME, SITE_SYNC, SITE_WRITE,
+        };
+
+        fn find(
+            clean: &[(&str, u64)],
+            site: &str,
+            n: u64,
+            want: impl Fn(StorageFault) -> bool,
+        ) -> FailPlan {
+            (0..1_000_000)
+                .map(|seed| FailPlan::new(seed, 500, 0, 500))
+                .find(|p| {
+                    clean.iter().all(|&(s, i)| p.storage_fault(s, i).is_none())
+                        && p.storage_fault(site, n).is_some_and(&want)
+                })
+                .expect("a seed with this decision sequence")
+        }
+        fn faulted(dir: &Path, retain: usize, plan: FailPlan, counters: FaultCounters) -> Store {
+            Store::open_with_io(
+                dir,
+                retain,
+                Box::new(crate::failpoint::FailpointIo::new(
+                    crate::failpoint::OsStoreIo,
+                    plan,
+                    counters,
+                )),
+            )
+            .expect("open")
+        }
+        fn files(dir: &Path) -> Vec<(String, u64)> {
+            let mut v: Vec<(String, u64)> = std::fs::read_dir(dir)
+                .expect("list")
+                .map(|e| {
+                    let e = e.expect("entry");
+                    let len = e.metadata().expect("metadata").len();
+                    (e.file_name().to_string_lossy().into_owned(), len)
+                })
+                .collect();
+            v.sort();
+            v
+        }
+        let open = |case: &str, retain: usize, plan: FailPlan| {
+            let dir =
+                std::env::temp_dir().join(format!("ctld-fault-{case}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let counters = FaultCounters::new();
+            let store = faulted(&dir, retain, plan, counters.clone());
+            (dir, store, counters)
+        };
+        let len = sample(1).to_bytes().len() as u64;
+        let prefix = |keep: u16| len * u64::from(keep) / 1000;
+        let tmp1 = ".epoch-0000000000000001.tmp".to_owned();
+        let snap1 = "epoch-0000000000000001.snap".to_owned();
+        let snap2 = "epoch-0000000000000002.snap".to_owned();
+        let mut seen = 0;
+
+        // A short write: a prefix reaches the temp file, the commit
+        // fails and nothing is renamed.
+        let plan = find(&[(SITE_CREATE, 0)], SITE_WRITE, 0, |f| {
+            matches!(f, StorageFault::ShortWrite { .. })
+        });
+        let Some(StorageFault::ShortWrite { keep_permille }) = plan.storage_fault(SITE_WRITE, 0)
+        else {
+            unreachable!("found by search")
+        };
+        let (dir, mut store, counters) = open("short", 4, plan);
+        let err = store.commit(&sample(1)).expect_err("short write fails");
+        assert!(
+            err.to_string()
+                .contains("injected short write at store.write#0"),
+            "{err}"
+        );
+        assert_eq!(files(&dir), [(tmp1.clone(), prefix(keep_permille))]);
+        assert_eq!((counters.injected_count(), counters.crash_count()), (1, 0));
+        assert!(matches!(store.load_latest(), Err(StoreError::NoCheckpoint)));
+        let _ = std::fs::remove_dir_all(&dir);
+        seen += 1;
+
+        // ENOSPC: the temp file is created but no byte lands.
+        let plan = find(&[(SITE_CREATE, 0)], SITE_WRITE, 0, |f| {
+            f == StorageFault::Error(ErrorModel::NoSpace)
+        });
+        let (dir, mut store, counters) = open("enospc", 4, plan);
+        match store.commit(&sample(1)) {
+            Err(StoreError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::StorageFull),
+            other => panic!("ENOSPC commit returned {other:?}"),
+        }
+        assert_eq!(files(&dir), [(tmp1.clone(), 0)]);
+        assert_eq!((counters.injected_count(), counters.crash_count()), (1, 0));
+        assert!(matches!(store.load_latest(), Err(StoreError::NoCheckpoint)));
+        let _ = std::fs::remove_dir_all(&dir);
+        seen += 1;
+
+        // One EINTR: the commit retries once from a fresh temp file and
+        // lands.
+        let plan = find(
+            &[
+                (SITE_CREATE, 0),
+                (SITE_CREATE, 1),
+                (SITE_WRITE, 1),
+                (SITE_SYNC, 0),
+                (SITE_RENAME, 0),
+            ],
+            SITE_WRITE,
+            0,
+            |f| f == StorageFault::Error(ErrorModel::Interrupted),
+        );
+        let (dir, mut store, counters) = open("eintr", 4, plan);
+        store.commit(&sample(1)).expect("EINTR is retried once");
+        assert_eq!(files(&dir), [(snap1.clone(), len)]);
+        assert_eq!((counters.injected_count(), counters.crash_count()), (1, 0));
+        assert_eq!(store.load_latest().expect("committed"), sample(1));
+        let _ = std::fs::remove_dir_all(&dir);
+        seen += 1;
+
+        // Sync-then-crash: the temp file is whole and synced, the
+        // commit returns the crash marker, and recovery ignores the
+        // temp file.
+        let plan = find(&[(SITE_CREATE, 0), (SITE_WRITE, 0)], SITE_SYNC, 0, |f| {
+            f == StorageFault::SyncThenCrash
+        });
+        let (dir, mut store, counters) = open("synccrash", 4, plan);
+        let err = store.commit(&sample(1)).expect_err("sync-then-crash");
+        assert!(
+            err.to_string()
+                .contains("injected failpoint crash at store.sync#0"),
+            "{err}"
+        );
+        assert_eq!(files(&dir), [(tmp1.clone(), len)]);
+        assert_eq!((counters.injected_count(), counters.crash_count()), (0, 1));
+        assert!(matches!(store.load_latest(), Err(StoreError::NoCheckpoint)));
+        let _ = std::fs::remove_dir_all(&dir);
+        seen += 1;
+
+        // Torn renames: the destination holds a prefix of the temp
+        // file's bytes, the temp file is gone and the commit crashes.
+        // A kept prefix is skipped by recovery; a torn rename that kept
+        // every byte is a durable commit whose ack was lost.
+        for (case, whole) in [("torn-prefix", false), ("torn-whole", true)] {
+            let plan = find(
+                &[(SITE_CREATE, 0), (SITE_WRITE, 0), (SITE_SYNC, 0)],
+                SITE_RENAME,
+                0,
+                |f| {
+                    matches!(f, StorageFault::TornRename { keep_permille }
+                        if (keep_permille == 1000) == whole)
+                },
+            );
+            let Some(StorageFault::TornRename { keep_permille }) =
+                plan.storage_fault(SITE_RENAME, 0)
+            else {
+                unreachable!("found by search")
+            };
+            let (dir, mut store, counters) = open(case, 4, plan);
+            let err = store.commit(&sample(1)).expect_err("torn rename crashes");
+            assert!(
+                err.to_string()
+                    .contains("injected failpoint crash at store.rename#0"),
+                "{err}"
+            );
+            assert_eq!(files(&dir), [(snap1.clone(), prefix(keep_permille))]);
+            assert_eq!((counters.injected_count(), counters.crash_count()), (0, 1));
+            if whole {
+                assert_eq!(store.load_latest().expect("kept every byte"), sample(1));
+            } else {
+                assert!(matches!(store.load_latest(), Err(StoreError::NoCheckpoint)));
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+            seen += 1;
+        }
+
+        // A failed prune unlink: retention is hygiene, so the second
+        // commit still succeeds and the pruned file stays behind.
+        let plan = find(
+            &[
+                (SITE_CREATE, 0),
+                (SITE_WRITE, 0),
+                (SITE_SYNC, 0),
+                (SITE_RENAME, 0),
+                (SITE_CREATE, 1),
+                (SITE_WRITE, 1),
+                (SITE_SYNC, 1),
+                (SITE_RENAME, 1),
+            ],
+            SITE_REMOVE,
+            0,
+            |_| true,
+        );
+        let (dir, mut store, counters) = open("prune", 1, plan);
+        store.commit(&sample(1)).expect("first commit");
+        store
+            .commit(&sample(2))
+            .expect("a failed unlink is not a failed commit");
+        assert_eq!(files(&dir), [(snap1, len), (snap2, len)]);
+        assert_eq!((counters.injected_count(), counters.crash_count()), (1, 0));
+        assert_eq!(store.load_latest().expect("newest"), sample(2));
+        let _ = std::fs::remove_dir_all(&dir);
+        seen += 1;
+
+        assert_eq!(seen, 7, "one case per fault");
+    }
+
     #[test]
     fn torn_rename_kept_prefix_still_fences_generations() {
         let dir = std::env::temp_dir().join(format!("ctld-genfence-torn-{}", std::process::id()));
