@@ -5,8 +5,8 @@
 //! ```
 //!
 //! Runs a real daemon (socket and all) on `8port2tree` with
-//! `disjoint(4)`, its checkpoint store behind a [`FailpointIo`] and its
-//! feeder connections behind client-side `FaultyStream`s, under the
+//! `disjoint(4)`, its checkpoint store drawing seeded storage faults and
+//! its feeder connections behind client-side `FaultyStream`s, under the
 //! escalating failpoint schedule of [`lmpr_ctld::soak::escalation`].
 //! A Poisson fault timeline supplies the batch contents; the feeder
 //! submits one batch per epoch while query threads hammer `paths`.
@@ -49,10 +49,10 @@ use lmpr_ctld::soak::{
     escalation, BatchAck, PromotionRecord, RestartCause, RestartRecord, ScratchDir, SoakLedger,
     SoakPhase, FAILOVER_PHASE, MAX_BATCHES, SETTLE_BATCHES,
 };
+use lmpr_ctld::store::RETAIN;
 use lmpr_ctld::{
     serve, ChangeSpec, Checkpoint, Client, ClientConfig, Controller, CtlConfig, FailPlan,
-    FailpointIo, FaultCounters, OsStoreIo, ReplicaConfig, Response, RetryPolicy, ServerConfig,
-    Standby, Store, StoreError,
+    FaultCounters, ReplicaConfig, Response, RetryPolicy, ServerConfig, Standby, Store, StoreError,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -70,7 +70,6 @@ const FAIL_RATE: f64 = 2e-5;
 const MEAN_REPAIR: f64 = 2_000.0;
 const HORIZON: u64 = 200_000;
 const SCHEDULE_SEED: u64 = 11;
-const RETAIN: usize = 8;
 /// Read-only query workers hammering `paths` beside the feeder.
 const QUERY_WORKERS: u64 = 2;
 
@@ -104,7 +103,7 @@ fn parse_args() -> Result<Args, String> {
 /// `None` means the death was not one we injected — a real bug.
 fn classify(err: &str) -> Option<RestartCause> {
     if err.contains("injected failpoint crash") {
-        Some(RestartCause::InjectedCrash)
+        Some(RestartCause::Crash)
     } else if err.contains("injected") {
         Some(RestartCause::FatalFault)
     } else {
@@ -225,9 +224,8 @@ impl Harness {
         let counters = self.storage_counters.clone();
         self.daemon = Some(std::thread::spawn(move || {
             let cfg = CtlConfig::new(TOPO, KIND, &state_dir);
-            let io = FailpointIo::new(OsStoreIo, plan, counters);
             let (ctl, report) =
-                Controller::start_with_io(cfg, Box::new(io)).map_err(|e| e.to_string())?;
+                Controller::start_with_faults(cfg, plan, counters).map_err(|e| e.to_string())?;
             if !report.certified() {
                 return Err("genesis certificate failed".to_owned());
             }
@@ -368,7 +366,6 @@ impl Harness {
         let standby = Standby::spawn(ReplicaConfig {
             primary_socket: self.sockets[0].clone(),
             state_dir: self.standby_dir.clone(),
-            retain: RETAIN,
             redial_base_ms: 5,
             redial_cap_ms: 100,
             wire_faults: Some(plan),

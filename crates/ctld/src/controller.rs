@@ -45,8 +45,8 @@
 //! checkpoint, replay the same ticks, and every subsequent answer is
 //! identical to the uninterrupted run's.
 
-use crate::failpoint::StoreIo;
-use crate::store::{Checkpoint, Store, StoreError};
+use crate::failpoint::{FailPlan, FaultCounters};
+use crate::store::{Checkpoint, Store, StoreError, RETAIN};
 use crate::wire::ChangeSpec;
 use lmpr_codec::fnv;
 use lmpr_core::{Router, RouterKind, SelectionEngine};
@@ -78,8 +78,6 @@ pub struct CtlConfig {
     pub backoff_base_ticks: u64,
     /// Upper bound on the retry delay, in logical ticks.
     pub backoff_cap_ticks: u64,
-    /// Checkpoints retained on disk.
-    pub retain_checkpoints: usize,
     /// Test hook: sleep this long inside each reconvergence, so a
     /// SIGKILL can land mid-reconvergence deterministically.
     pub reconverge_delay_ms: u64,
@@ -87,7 +85,7 @@ pub struct CtlConfig {
 
 impl CtlConfig {
     /// Defaults for a topology/scheme pair: 100-tick → 10 000-tick
-    /// backoff, 8 retained checkpoints.
+    /// backoff.
     pub fn new(
         topo_name: impl Into<String>,
         kind: RouterKind,
@@ -100,7 +98,6 @@ impl CtlConfig {
             schedule: FaultSchedule::new(),
             backoff_base_ticks: 100,
             backoff_cap_ticks: 10_000,
-            retain_checkpoints: 8,
             reconverge_delay_ms: 0,
         }
     }
@@ -361,19 +358,18 @@ impl Controller {
     /// `state_dir`, or bootstrap epoch 0 by fully verifying the
     /// fault-free state and committing the genesis checkpoint.
     pub fn start(cfg: CtlConfig) -> Result<(Self, Report), CtlError> {
-        let store = Store::open(&cfg.state_dir, cfg.retain_checkpoints)?;
-        Self::start_with_store(cfg, store)
+        Self::start_with_faults(cfg, FailPlan::new(0, 0, 0, 0), FaultCounters::new())
     }
 
-    /// Start a controller whose checkpoint store runs through an
-    /// injected I/O seam — the failpoint layer, or a test double. The
-    /// lifecycle is identical to [`Controller::start`].
-    pub fn start_with_io(cfg: CtlConfig, io: Box<dyn StoreIo>) -> Result<(Self, Report), CtlError> {
-        let store = Store::open_with_io(&cfg.state_dir, cfg.retain_checkpoints, io)?;
-        Self::start_with_store(cfg, store)
-    }
-
-    fn start_with_store(cfg: CtlConfig, mut store: Store) -> Result<(Self, Report), CtlError> {
+    /// Start a controller whose checkpoint store draws storage faults
+    /// from `plan`, counting every fault that fires into `counters`.
+    /// The lifecycle is identical to [`Controller::start`].
+    pub fn start_with_faults(
+        cfg: CtlConfig,
+        plan: FailPlan,
+        counters: FaultCounters,
+    ) -> Result<(Self, Report), CtlError> {
+        let mut store = Store::open_with_faults(&cfg.state_dir, RETAIN, plan, counters)?;
         let (label, topo) = xgft::topology_by_name(&cfg.topo_name)
             .ok_or_else(|| CtlError::UnknownTopology(cfg.topo_name.clone()))?;
         let (cp, report) = match store.load_latest() {

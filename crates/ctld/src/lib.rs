@@ -34,13 +34,13 @@
 //!   the controller thread; the queue is bounded, with overflow
 //!   rejected as a typed `overload` error instead of unbounded latency.
 //!
-//! * **Deterministic failure injection** ([`failpoint`]): every
-//!   filesystem call the checkpoint store makes and every stream
-//!   read/write of the wire layer runs behind an injectable seam whose
-//!   fault decisions are a pure function of a seed, so any failure
-//!   interleaving — short writes, ENOSPC, fsync-then-crash, torn
-//!   renames, torn frames, mid-frame disconnects — replays from a
-//!   one-line repro string.
+//! * **Deterministic failure injection** ([`failpoint`]): the
+//!   checkpoint store's create, write, sync, rename and pruning unlink
+//!   and every stream read/write of the wire layer consult a seeded
+//!   fault plan whose decisions are a pure function of the seed, so any
+//!   failure interleaving — short writes, ENOSPC, fsync-then-crash,
+//!   torn renames, torn frames, mid-frame disconnects — replays from
+//!   the seed alone.
 //! * **A retrying client** ([`client`]): reconnect-on-error, capped
 //!   exponential backoff on `overload`, refetch-and-retry on
 //!   `epoch-fenced`, idempotent fault-batch resubmission keyed by
@@ -74,10 +74,7 @@ pub mod wire;
 
 pub use client::{Client, ClientConfig, ClientError, ClientStats, RetryPolicy};
 pub use controller::{Controller, CtlConfig, CtlError, Mode, StatusInfo};
-pub use failpoint::{
-    crash_error, is_injected_crash, FailPlan, FailpointIo, FaultCounters, FaultyStream, OsStoreIo,
-    PlanParseError, StorageFault, StoreFile, StoreIo, WireFault,
-};
+pub use failpoint::{crash_error, FailPlan, FaultCounters, FaultyStream, StorageFault, WireFault};
 pub use replication::{ReplicaConfig, Standby, StandbyStats};
 pub use server::{serve, ServerConfig};
 pub use store::{Checkpoint, Store, StoreError};

@@ -29,7 +29,7 @@
 
 use crate::client::RetryPolicy;
 use crate::failpoint::{FailPlan, FaultCounters, FaultyStream};
-use crate::store::{Store, StoreError};
+use crate::store::{Store, StoreError, RETAIN};
 use crate::wire::{read_frame, write_frame, ErrorCode, Request, Response};
 use std::io::{Read, Write};
 use std::net::Shutdown;
@@ -47,9 +47,6 @@ pub struct ReplicaConfig {
     /// The standby's own checkpoint directory (must not be the
     /// primary's).
     pub state_dir: PathBuf,
-    /// Checkpoints retained in `state_dir` (same meaning as
-    /// [`Store::open`]'s `retain`).
-    pub retain: usize,
     /// Delay before the second redial attempt, in milliseconds.
     pub redial_base_ms: u64,
     /// Upper bound on any single redial delay, in milliseconds.
@@ -70,7 +67,6 @@ impl ReplicaConfig {
         ReplicaConfig {
             primary_socket: primary_socket.into(),
             state_dir: state_dir.into(),
-            retain: 8,
             redial_base_ms: 10,
             redial_cap_ms: 500,
             wire_faults: None,
@@ -136,7 +132,7 @@ impl Standby {
     /// back whatever `(generation, epoch)` is already durable, and
     /// start the follower thread.
     pub fn spawn(cfg: ReplicaConfig) -> Result<Standby, StoreError> {
-        let mut store = Store::open(&cfg.state_dir, cfg.retain)?;
+        let mut store = Store::open(&cfg.state_dir, RETAIN)?;
         let (generation, epoch) = match store.load_latest() {
             Ok(cp) => (cp.generation, cp.epoch),
             Err(StoreError::NoCheckpoint) => (0, 0),

@@ -155,7 +155,7 @@ pub fn escalation() -> Vec<SoakPhase> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RestartCause {
     /// An injected crash kind (fsync-then-crash, torn rename).
-    InjectedCrash,
+    Crash,
     /// A fatal injected storage fault (ENOSPC, short write, EIO) on
     /// which the daemon correctly fail-stopped.
     FatalFault,
@@ -167,7 +167,7 @@ impl RestartCause {
     /// Stable tag for progress output.
     pub fn tag(self) -> &'static str {
         match self {
-            RestartCause::InjectedCrash => "injected-crash",
+            RestartCause::Crash => "injected-crash",
             RestartCause::FatalFault => "fatal-fault",
             RestartCause::PhaseChange => "phase-change",
         }
@@ -635,7 +635,7 @@ mod tests {
         ];
         l.restarts = vec![RestartRecord {
             incarnation: 1,
-            cause: RestartCause::InjectedCrash,
+            cause: RestartCause::Crash,
             last_acked_epoch: 2,
             newest_valid_on_disk: Some(3),
             recovered_epoch: 3,

@@ -24,12 +24,17 @@
 //! derived state and are recomputed on demand; this is what makes
 //! the restart-equivalence guarantee a pure function of the fault feed.
 
-use crate::failpoint::{OsStoreIo, StoreIo};
+use crate::failpoint::{
+    crash_error, FailPlan, FaultCounters, StorageFault, SITE_CREATE, SITE_REMOVE, SITE_RENAME,
+    SITE_SYNC, SITE_WRITE,
+};
 use lmpr_codec::envelope::{self, Dec, Enc};
 use lmpr_codec::fnv::fnv1a64;
 use std::fmt;
-use std::io;
+use std::fs::{self, File};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
 use xgft::{DirectedLinkId, FaultSet, NodeId, Topology};
 
 /// Envelope magic; 8 bytes.
@@ -39,6 +44,8 @@ const MAGIC: &[u8; 8] = b"LMPRCTLS";
 const VERSION: u32 = 2;
 /// Sanity bound on a payload (a view can't plausibly exceed this).
 const MAX_PAYLOAD: u64 = 64 << 20;
+/// Checkpoints a daemon or a standby keeps in its state directory.
+pub const RETAIN: usize = 8;
 
 /// Why a checkpoint could not be written or read back.
 #[derive(Debug)]
@@ -271,46 +278,81 @@ impl Checkpoint {
 }
 
 /// Directory of per-epoch checkpoints with atomic commit and bounded
-/// retention. All filesystem traffic goes through the injectable
-/// [`StoreIo`] seam, so the failpoint layer can drive any write, sync,
-/// or rename into a seeded fault.
+/// retention. Its five fault sites — create, write, sync, rename and the
+/// pruning unlink — consult a seeded [`FailPlan`], so the soak can drive
+/// any of them into a fault; under the unarmed plan of [`Store::open`]
+/// none ever fires.
+#[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
     /// Checkpoints retained on disk (newest first); older ones are
     /// pruned after each commit.
     retain: usize,
-    io: Box<dyn StoreIo>,
+    faults: Injector,
 }
 
-impl fmt::Debug for Store {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Store")
-            .field("dir", &self.dir)
-            .field("retain", &self.retain)
-            .finish_non_exhaustive()
+/// The store's fault decisions: the plan, the counters it reports
+/// into, and one op counter per fault site, so the `n`-th op at a site
+/// draws the same decision however the other sites interleave.
+#[derive(Debug)]
+struct Injector {
+    plan: FailPlan,
+    counters: FaultCounters,
+    ops: [u64; 5],
+}
+
+impl Injector {
+    /// Take the next op index at `site` and the fault it draws, if any,
+    /// counting a fault as a crash or a survivable one.
+    fn next(&mut self, site: &str) -> Option<(u64, StorageFault)> {
+        let ix = match site {
+            SITE_CREATE => 0,
+            SITE_WRITE => 1,
+            SITE_SYNC => 2,
+            SITE_RENAME => 3,
+            _ => 4,
+        };
+        let n = self.ops[ix];
+        self.ops[ix] += 1;
+        let fault = self.plan.storage_fault(site, n)?;
+        let counter = match fault {
+            StorageFault::SyncThenCrash | StorageFault::TornRename { .. } => &self.counters.crashes,
+            _ => &self.counters.injected,
+        };
+        counter.fetch_add(1, Ordering::SeqCst);
+        Some((n, fault))
     }
+}
+
+/// The first `keep_permille`/1000 of `len` bytes.
+fn prefix(len: usize, keep_permille: u16) -> usize {
+    len * usize::from(keep_permille) / 1000
 }
 
 impl Store {
-    /// Open (creating if needed) a checkpoint directory on the real
-    /// filesystem.
+    /// Open (creating if needed) a checkpoint directory.
     pub fn open(dir: impl Into<PathBuf>, retain: usize) -> Result<Self, StoreError> {
-        Self::open_with_io(dir, retain, Box::new(OsStoreIo))
+        Self::open_with_faults(dir, retain, FailPlan::new(0, 0, 0, 0), FaultCounters::new())
     }
 
-    /// Open a checkpoint directory through an injected I/O seam (the
-    /// failpoint layer, or a test double).
-    pub fn open_with_io(
+    /// Open a checkpoint directory whose fault sites draw from `plan`,
+    /// counting every fault that fires into `counters`.
+    pub(crate) fn open_with_faults(
         dir: impl Into<PathBuf>,
         retain: usize,
-        mut io: Box<dyn StoreIo>,
+        plan: FailPlan,
+        counters: FaultCounters,
     ) -> Result<Self, StoreError> {
         let dir = dir.into();
-        io.create_dir_all(&dir)?;
+        fs::create_dir_all(&dir)?;
         Ok(Store {
             dir,
             retain: retain.max(1),
-            io,
+            faults: Injector {
+                plan,
+                counters,
+                ops: [0; 5],
+            },
         })
     }
 
@@ -363,18 +405,73 @@ impl Store {
         let tmp = self.dir.join(format!(".epoch-{:016}.tmp", cp.epoch));
         let snap = self.snap_path(cp.epoch);
         let bytes = cp.to_bytes();
-        {
-            let mut f = self.io.create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        self.io.rename(&tmp, &snap)?;
+        let mut f = self.create(&tmp)?;
+        self.write(&mut f, &bytes)?;
+        self.sync(&f)?;
+        drop(f);
+        self.rename(&tmp, &snap)?;
         // Make the rename durable before prune may delete predecessors:
         // pruning first could leave, after power loss, neither the old
         // checkpoints nor the (forgotten) new one.
-        self.io.sync_dir(&self.dir)?;
+        File::open(&self.dir)?.sync_all()?;
         self.prune();
         Ok(())
+    }
+
+    /// Create the temp file, or fail with an injected error.
+    fn create(&mut self, path: &Path) -> io::Result<File> {
+        match self.faults.next(SITE_CREATE) {
+            None => File::create(path),
+            Some((n, fault)) => Err(fault.error(SITE_CREATE, n)),
+        }
+    }
+
+    /// Write the whole checkpoint, or under a short write only a synced
+    /// prefix of it before the error.
+    fn write(&mut self, f: &mut File, bytes: &[u8]) -> io::Result<()> {
+        match self.faults.next(SITE_WRITE) {
+            None => f.write_all(bytes),
+            Some((n, StorageFault::ShortWrite { keep_permille })) => {
+                f.write_all(&bytes[..prefix(bytes.len(), keep_permille)])?;
+                let _ = f.sync_all();
+                Err(io::Error::new(
+                    io::ErrorKind::StorageFull,
+                    format!("injected short write at {SITE_WRITE}#{n}"),
+                ))
+            }
+            Some((n, fault)) => Err(fault.error(SITE_WRITE, n)),
+        }
+    }
+
+    /// Sync the temp file; under sync-then-crash the data is synced for
+    /// real before the crash.
+    fn sync(&mut self, f: &File) -> io::Result<()> {
+        match self.faults.next(SITE_SYNC) {
+            None => f.sync_all(),
+            Some((n, StorageFault::SyncThenCrash)) => {
+                f.sync_all()?;
+                Err(crash_error(SITE_SYNC, n))
+            }
+            Some((n, fault)) => Err(fault.error(SITE_SYNC, n)),
+        }
+    }
+
+    /// Rename the temp file into place. A torn rename leaves the
+    /// destination holding a prefix of the source bytes, as power loss
+    /// before data writeback would, consumes the source and crashes.
+    fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()> {
+        match self.faults.next(SITE_RENAME) {
+            None => fs::rename(from, to),
+            Some((n, StorageFault::TornRename { keep_permille })) => {
+                let bytes = fs::read(from)?;
+                let mut f = File::create(to)?;
+                f.write_all(&bytes[..prefix(bytes.len(), keep_permille)])?;
+                let _ = f.sync_all();
+                let _ = fs::remove_file(from);
+                Err(crash_error(SITE_RENAME, n))
+            }
+            Some((n, fault)) => Err(fault.error(SITE_RENAME, n)),
+        }
     }
 
     /// The `(generation, epoch)` key of the checkpoint recovery would
@@ -387,7 +484,7 @@ impl Store {
         let epochs = self.list_epochs().ok()?;
         let mut best: Option<(u64, u64)> = None;
         for epoch in epochs {
-            if let Ok(bytes) = self.io.read(&self.snap_path(epoch)) {
+            if let Ok(bytes) = fs::read(self.snap_path(epoch)) {
                 if let Ok(cp) = Checkpoint::from_bytes(&bytes) {
                     let key = (cp.generation, cp.epoch);
                     if best.is_none_or(|b| key > b) {
@@ -400,8 +497,8 @@ impl Store {
     }
 
     /// Best-effort retention: keep the newest `retain` checkpoints.
-    /// Pruning failures are ignored — retention is hygiene, not
-    /// correctness — but the checkpoint recovery would choose (the best
+    /// Pruning failures, injected or real, are ignored — retention is
+    /// hygiene, not correctness — but the checkpoint recovery would choose (the best
     /// valid `(generation, epoch)`) is never deleted, even when
     /// newer-but-corrupt files occupy the whole retention window.
     /// Deleting it would leave recovery with nothing but garbage.
@@ -419,7 +516,9 @@ impl Store {
             if Some(old) == keep {
                 continue;
             }
-            let _ = self.io.remove_file(&self.snap_path(old));
+            if self.faults.next(SITE_REMOVE).is_none() {
+                let _ = fs::remove_file(self.snap_path(old));
+            }
         }
     }
 
@@ -429,8 +528,9 @@ impl Store {
     /// silently bootstrap a fresh genesis over existing state.
     pub fn list_epochs(&mut self) -> Result<Vec<u64>, StoreError> {
         let mut epochs = Vec::new();
-        for name in self.io.list(&self.dir)? {
-            let Some(rest) = name.strip_prefix("epoch-") else {
+        for entry in fs::read_dir(&self.dir)? {
+            let name = entry?.file_name();
+            let Some(rest) = name.to_str().and_then(|n| n.strip_prefix("epoch-")) else {
                 continue;
             };
             let Some(num) = rest.strip_suffix(".snap") else {
@@ -461,7 +561,7 @@ impl Store {
         let mut best: Option<Checkpoint> = None;
         for epoch in epochs {
             let path = self.snap_path(epoch);
-            let bytes = match self.io.read(&path) {
+            let bytes = match fs::read(&path) {
                 Ok(b) => b,
                 Err(e) => {
                     eprintln!("ctld: skipping {}: {e}", path.display());
@@ -743,16 +843,7 @@ mod tests {
                 .expect("a seed with this decision sequence")
         }
         fn faulted(dir: &Path, retain: usize, plan: FailPlan, counters: FaultCounters) -> Store {
-            Store::open_with_io(
-                dir,
-                retain,
-                Box::new(crate::failpoint::FailpointIo::new(
-                    crate::failpoint::OsStoreIo,
-                    plan,
-                    counters,
-                )),
-            )
-            .expect("open")
+            Store::open_with_faults(dir, retain, plan, counters).expect("open")
         }
         fn files(dir: &Path) -> Vec<(String, u64)> {
             let mut v: Vec<(String, u64)> = std::fs::read_dir(dir)
