@@ -84,6 +84,17 @@ if grep -rnE --include="*.rs" "ErrorCode::Deadline|--deadline-ms" \
   echo "ErrorCode::Deadline / --deadline-ms are retired" >&2
   exit 1
 fi
+# The checkpoint store calls std::fs itself and consults one private
+# fault injector; the soak's seed is its repro. The two-trait storage
+# seam, FailPlan's repro-string parser, the typed crash marker and the
+# flit sweep's pre-flight hook, none of which had a caller, stay retired.
+if grep -rnE --include="*.rs" \
+     -e "StoreIo|StoreFile|OsStoreIo|FailpointIo|RawFailpointFile|PlanParseError" \
+     -e "InjectedCrash|is_injected_crash|open_with_io|start_with_io|run_sweep_with_preflight" \
+     crates src tests examples; then
+  echo "the store I/O seam, FailPlan::parse, InjectedCrash and the sweep pre-flight hook are retired" >&2
+  exit 1
+fi
 if grep -rn --include="*.rs" "SelectionEngine::cached" crates/ctld/src; then
   echo "ctld serves from an uncached SelectionEngine" >&2
   exit 1
@@ -241,7 +252,7 @@ echo "==> ctl_soak chaos + failover smoke (seeded failpoint soak, 120 s budget)"
 # invariant is machine-checked (CTL-SOAK-EPOCH/SERVE/RECOVER/BATCH/
 # FAILOVER/GEN). The binary exits non-zero on any invariant violation.
 # The document holds only logical fields, each a pure function of the
-# seed (repro fp1:11:s0:w0:c0); wall-clock tallies — the feeder's own
+# seed (plan fp1:11:s0:w0:c0); wall-clock tallies — the feeder's own
 # wire faults, reconnects and resubmissions, query and standby counts —
 # go to stderr. So two runs with the same seed must produce
 # byte-identical documents, and seed 42 must reproduce the committed

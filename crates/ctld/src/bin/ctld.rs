@@ -3,8 +3,7 @@
 //! ```text
 //! ctld --topo 8port2tree --kind disjoint:4 --state-dir /var/lib/ctld \
 //!      --socket /run/ctld.sock [--schedule poisson:RATE:REPAIR:HORIZON:SEED]
-//!      [--queue-cap N] [--reconverge-delay-ms N]
-//!      [--backoff-base TICKS] [--backoff-cap TICKS]
+//!      [--reconverge-delay-ms N]
 //!      [--standby-of /run/primary.sock [--promote-after N]]
 //! ```
 //!
@@ -34,10 +33,7 @@ struct Args {
     state_dir: String,
     socket: String,
     schedule_spec: Option<String>,
-    queue_cap: usize,
     reconverge_delay_ms: u64,
-    backoff_base: u64,
-    backoff_cap: u64,
     standby_of: Option<String>,
     promote_after: Option<u64>,
 }
@@ -49,10 +45,7 @@ fn parse_args() -> Result<Args, String> {
         state_dir: String::new(),
         socket: String::new(),
         schedule_spec: None,
-        queue_cap: 64,
         reconverge_delay_ms: 0,
-        backoff_base: 100,
-        backoff_cap: 10_000,
         standby_of: None,
         promote_after: None,
     };
@@ -69,25 +62,10 @@ fn parse_args() -> Result<Args, String> {
             "--state-dir" => args.state_dir = value("--state-dir")?,
             "--socket" => args.socket = value("--socket")?,
             "--schedule" => args.schedule_spec = Some(value("--schedule")?),
-            "--queue-cap" => {
-                args.queue_cap = value("--queue-cap")?
-                    .parse()
-                    .map_err(|e| format!("bad --queue-cap: {e}"))?;
-            }
             "--reconverge-delay-ms" => {
                 args.reconverge_delay_ms = value("--reconverge-delay-ms")?
                     .parse()
                     .map_err(|e| format!("bad --reconverge-delay-ms: {e}"))?;
-            }
-            "--backoff-base" => {
-                args.backoff_base = value("--backoff-base")?
-                    .parse()
-                    .map_err(|e| format!("bad --backoff-base: {e}"))?;
-            }
-            "--backoff-cap" => {
-                args.backoff_cap = value("--backoff-cap")?
-                    .parse()
-                    .map_err(|e| format!("bad --backoff-cap: {e}"))?;
             }
             "--standby-of" => args.standby_of = Some(value("--standby-of")?),
             "--promote-after" => {
@@ -161,9 +139,7 @@ fn run_standby(args: &Args, primary: &str) -> Result<(), String> {
         ctl.epoch(),
         args.socket
     );
-    let mut server_cfg = ServerConfig::new(&args.socket);
-    server_cfg.queue_cap = args.queue_cap;
-    serve(ctl, server_cfg).map_err(|e| e.to_string())
+    serve(ctl, ServerConfig::new(&args.socket)).map_err(|e| e.to_string())
 }
 
 fn run() -> Result<(), String> {
@@ -180,8 +156,6 @@ fn run() -> Result<(), String> {
     let mut cfg = CtlConfig::new(&args.topo, args.kind, &args.state_dir);
     cfg.schedule = schedule;
     cfg.reconverge_delay_ms = args.reconverge_delay_ms;
-    cfg.backoff_base_ticks = args.backoff_base;
-    cfg.backoff_cap_ticks = args.backoff_cap;
 
     let (ctl, report) = Controller::start(cfg).map_err(|e| e.to_string())?;
     eprintln!(
@@ -191,9 +165,7 @@ fn run() -> Result<(), String> {
         ctl.epoch(),
         report.checks.len()
     );
-    let mut server_cfg = ServerConfig::new(&args.socket);
-    server_cfg.queue_cap = args.queue_cap;
-    serve(ctl, server_cfg).map_err(|e| e.to_string())
+    serve(ctl, ServerConfig::new(&args.socket)).map_err(|e| e.to_string())
 }
 
 fn main() {

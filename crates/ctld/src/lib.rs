@@ -83,11 +83,15 @@ pub use wire::{
 };
 
 /// Check that an output document can be created at `path` — its
-/// directory exists — so a binary refuses a bad `--out` before it runs
-/// rather than after. The error reads `cannot write PATH: …`, as a
-/// failed final write does.
+/// directory exists and `path` is not itself a directory — so a binary
+/// refuses a bad `--out` before it runs rather than after. The error
+/// reads `cannot write PATH: …`, as a failed final write does.
 pub fn check_out_path(path: &str) -> Result<(), String> {
-    let dir = std::path::Path::new(path)
+    let out = std::path::Path::new(path);
+    if out.is_dir() {
+        return Err(format!("cannot write {path}: it is a directory"));
+    }
+    let dir = out
         .parent()
         .filter(|d| !d.as_os_str().is_empty())
         .unwrap_or(std::path::Path::new("."));

@@ -63,5 +63,5 @@ pub use network::PortGraph;
 pub use resilience::{DropCause, XferState};
 pub use sim::FlitSim;
 pub use stats::{saturation_throughput, LoadPoint, SimStats};
-pub use sweep::{load_grid, run_sweep, run_sweep_with_preflight, SweepError};
+pub use sweep::{load_grid, run_sweep, SweepError};
 pub use traffic_mode::TrafficMode;

@@ -43,13 +43,6 @@ pub enum SweepError {
         /// Index of the unfilled point.
         index: usize,
     },
-    /// The opt-in pre-flight verification hook rejected the
-    /// configuration before any cycle was simulated (see
-    /// [`run_sweep_with_preflight`]).
-    Preflight {
-        /// The verifier's failure summary.
-        message: String,
-    },
 }
 
 impl std::fmt::Display for SweepError {
@@ -71,9 +64,6 @@ impl std::fmt::Display for SweepError {
             }
             SweepError::MissingResult { index } => {
                 write!(f, "sweep point {index} produced no result")
-            }
-            SweepError::Preflight { message } => {
-                write!(f, "pre-flight verification rejected the sweep: {message}")
             }
         }
     }
@@ -164,31 +154,6 @@ where
     })
 }
 
-/// Like [`run_sweep`], but run an arbitrary verification hook over the
-/// `(topology, router)` combination first and fail fast with
-/// [`SweepError::Preflight`] — carrying the hook's diagnostic — before
-/// a single cycle is simulated.
-///
-/// The hook is deliberately a plain closure rather than a fixed
-/// verifier type so this crate stays independent of the static analyzer
-/// (`lmpr-verify` depends on the flow-level stack); experiment binaries
-/// pass `|t, _| lmpr_verify::preflight(t, kind)`.
-pub fn run_sweep_with_preflight<R, F>(
-    topo: &Topology,
-    router: &R,
-    cfg: SimConfig,
-    loads: &[f64],
-    threads: usize,
-    preflight: F,
-) -> Result<Vec<LoadPoint>, SweepError>
-where
-    R: Router + Clone,
-    F: FnOnce(&Topology, &R) -> Result<(), String>,
-{
-    preflight(topo, router).map_err(|message| SweepError::Preflight { message })?;
-    run_sweep(topo, router, cfg, loads, threads)
-}
-
 /// Run one load point, converting panics and simulator errors into
 /// [`SweepError`]s that name the point.
 fn simulate_point<R: Router>(
@@ -221,9 +186,6 @@ fn error_index(e: &SweepError) -> usize {
         SweepError::Sim { index, .. }
         | SweepError::WorkerPanicked { index, .. }
         | SweepError::MissingResult { index } => *index,
-        // Pre-flight failures precede every load point (and in fact
-        // never reach the per-point error ranking).
-        SweepError::Preflight { .. } => 0,
     }
 }
 
@@ -306,38 +268,6 @@ mod tests {
                 other => panic!("expected a Sim error, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn preflight_gates_the_sweep() {
-        let topo = Topology::new(XgftSpec::new(&[4, 4], &[1, 4]).unwrap());
-        let cfg = SimConfig {
-            warmup_cycles: 100,
-            measure_cycles: 300,
-            ..SimConfig::default()
-        };
-        // Accepting hook: behaves exactly like run_sweep.
-        let ok = run_sweep_with_preflight(&topo, &DModK, cfg, &[0.2], 1, |_, _| Ok(()));
-        assert_eq!(ok, run_sweep(&topo, &DModK, cfg, &[0.2], 1));
-        // Rejecting hook: fails fast with the diagnostic, no simulation.
-        let err = run_sweep_with_preflight(&topo, &DModK, cfg, &[0.2], 1, |_, _| {
-            Err("CDG-CYCLE: cycle of length 2".to_owned())
-        })
-        .unwrap_err();
-        match err {
-            SweepError::Preflight { message } => {
-                assert!(message.contains("CDG-CYCLE"));
-                assert!(err_to_string_mentions_preflight(&message));
-            }
-            other => panic!("expected Preflight, got {other:?}"),
-        }
-    }
-
-    fn err_to_string_mentions_preflight(message: &str) -> bool {
-        let e = SweepError::Preflight {
-            message: message.to_owned(),
-        };
-        e.to_string().contains("pre-flight verification rejected")
     }
 
     #[test]

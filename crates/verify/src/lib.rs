@@ -21,8 +21,8 @@
 //!
 //! All findings are structured [`Diagnostic`]s with severity, stable
 //! rule id and a machine-checkable witness; a clean [`Report`] is the
-//! certificate. The intended call sites are the `lmpr-bench` `verify`
-//! binary and the flit-sim sweep pre-flight hook.
+//! certificate. The call sites are the `lmpr-bench` `verify` binary
+//! and the `ctld` controller's epoch certificates.
 //!
 //! # Example
 //!
@@ -187,33 +187,6 @@ pub fn verify_tables(topo: &Topology, topology_label: &str, k: u64, order: SlotO
     report.record(RuleId::CdgCycle, cdg.num_edges(), before);
     check_tables(topo, &ft, order, &mut report);
     report
-}
-
-/// Pre-flight verification hook for simulation sweeps: certify the
-/// scheme on the sweep's topology and return a one-line failure summary
-/// suitable for [`SweepError::Preflight`] when the certificate does not
-/// hold.
-///
-/// [`SweepError::Preflight`]: https://docs.rs/lmpr-flitsim
-pub fn preflight(topo: &Topology, kind: RouterKind) -> Result<(), String> {
-    let report = verify_router_kind(topo, "preflight", kind, None);
-    if report.certified() {
-        return Ok(());
-    }
-    let errors = report
-        .findings
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .count();
-    let first = report
-        .findings
-        .iter()
-        .find(|d| d.severity == Severity::Error)
-        .map(|d| d.to_string())
-        .unwrap_or_else(|| "unknown finding".to_owned());
-    Err(format!(
-        "routing verification failed with {errors} finding(s); first: {first}"
-    ))
 }
 
 #[cfg(test)]
@@ -496,12 +469,6 @@ mod tests {
             let report = verify_tables(&topo, "fig3", 4, order);
             assert!(report.certified(), "{order:?}: {:?}", report.findings);
         }
-    }
-
-    #[test]
-    fn preflight_accepts_and_reports() {
-        let topo = fig3();
-        assert!(preflight(&topo, RouterKind::Disjoint(2)).is_ok());
     }
 
     #[test]
