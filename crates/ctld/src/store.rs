@@ -498,10 +498,11 @@ impl Store {
 
     /// Best-effort retention: keep the newest `retain` checkpoints.
     /// Pruning failures, injected or real, are ignored — retention is
-    /// hygiene, not correctness — but the checkpoint recovery would choose (the best
-    /// valid `(generation, epoch)`) is never deleted, even when
-    /// newer-but-corrupt files occupy the whole retention window.
-    /// Deleting it would leave recovery with nothing but garbage.
+    /// hygiene, not correctness — but the checkpoint recovery would
+    /// choose (the best valid `(generation, epoch)`) is never deleted,
+    /// even when newer-but-corrupt files occupy the whole retention
+    /// window. Deleting it would leave recovery with nothing but
+    /// garbage.
     fn prune(&mut self) {
         let Ok(mut epochs) = self.list_epochs() else {
             return;
