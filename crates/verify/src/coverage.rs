@@ -19,6 +19,8 @@ use crate::{Diagnostic, EpochScope, Report, RuleId, Witness};
 use lmpr_core::forwarding::{shift_vectors, ForwardingTables, SlotOrder};
 use lmpr_core::{RouteError, Router, SelectionEngine};
 use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::OnceLock;
 use xgft::{DirectedLinkId, FaultSet, LinkDir, NodeId, PathId, PnId, Topology, MAX_HEIGHT};
 
 /// How many paths a scheme is expected to select per pair.
@@ -118,11 +120,13 @@ fn check_path_shape(
     }
 }
 
-/// Check duplicate ids within one selection.
+/// Check duplicate ids within one selection. A passing selection is
+/// compared pairwise in place; only a duplicate's message sorts a copy.
 fn check_distinct(s: PnId, d: PnId, paths: &[PathId], out: &mut Vec<Diagnostic>) {
-    let mut sorted: Vec<u64> = paths.iter().map(|p| p.0).collect();
-    sorted.sort_unstable();
-    if sorted.windows(2).any(|w| w[0] == w[1]) {
+    let repeats = |(i, p): (usize, &PathId)| paths[i + 1..].contains(p);
+    if paths.iter().enumerate().any(repeats) {
+        let mut sorted: Vec<u64> = paths.iter().map(|p| p.0).collect();
+        sorted.sort_unstable();
         out.push(Diagnostic::error(
             RuleId::CoverageDuplicate,
             format!(
@@ -209,6 +213,12 @@ pub fn check_router_coverage<R: Router + ?Sized>(
 /// structure the engine degrades with is itself audited by every full
 /// certificate (genesis, whole-matrix epochs, `verify --ci`) and never
 /// certifies itself.
+///
+/// Pairs are independent, so a large scope is cut into contiguous
+/// shards — runs of the pair list, or of source rows at full scope —
+/// audited on up to [`std::thread::available_parallelism`] threads, at
+/// least `MIN_PAIRS_PER_WORKER` pairs each. Shards are merged in order,
+/// so the report is byte-identical at any worker count.
 pub fn check_degraded_coverage<R: Router>(
     topo: &Topology,
     router: R,
@@ -217,41 +227,140 @@ pub fn check_degraded_coverage<R: Router>(
     scope: EpochScope<'_>,
     report: &mut Report,
 ) {
-    let mut engine = SelectionEngine::with_view(router, faults.clone());
-    let mut paths = Vec::new();
-    let mut inspected = 0u64;
-    let before = report.findings.len();
-    let full = matches!(scope, EpochScope::Full);
-    let mut audit = |s: PnId, d: PnId| {
-        if s == d {
-            return;
-        }
-        inspected += 1;
-        let surviving = if full {
-            walked_survivor_count(topo, faults, s, d)
-        } else {
-            faults.survivors(topo, s, d).count()
-        };
-        audit_degraded_pair(
-            topo,
-            &mut engine,
-            faults,
-            budget,
-            s,
-            d,
-            surviving,
-            &mut paths,
-            &mut report.findings,
-        );
-    };
-    match scope {
+    let pairs = match scope {
         EpochScope::Full => {
-            let n = topo.num_pns();
-            (0..n).for_each(|s| (0..n).for_each(|d| audit(PnId(s), PnId(d))));
+            let n = (0..topo.num_pns()).len();
+            n.saturating_mul(n.saturating_sub(1))
         }
-        EpochScope::Pairs(pairs) => pairs.iter().for_each(|&(s, d)| audit(s, d)),
-    }
+        EpochScope::Pairs(pairs) => pairs.len(),
+    };
+    let workers = available_cpus().min(pairs / MIN_PAIRS_PER_WORKER);
+    audit_degraded(topo, &router, faults, budget, scope, workers, report);
+}
+
+/// The fewest pairs worth a coverage worker of their own, a few hundred
+/// microseconds of audit: smaller blast radii stay on the calling thread.
+const MIN_PAIRS_PER_WORKER: usize = 512;
+
+/// The CPUs this process may run on, read once: the query reads cgroup
+/// files, ≈ 23 µs a call on a 2-vCPU machine, 2 % of a scoped
+/// certificate.
+fn available_cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
+
+/// [`check_degraded_coverage`] on `workers` threads (at least one, at
+/// most one per pair-list entry or source row). Shard 0 runs on the
+/// calling thread; each worker's engine and path buffer are built here,
+/// before it starts, and its findings are appended in shard order.
+pub(crate) fn audit_degraded<R: Router>(
+    topo: &Topology,
+    router: &R,
+    faults: &FaultSet,
+    budget: Budget,
+    scope: EpochScope<'_>,
+    workers: usize,
+    report: &mut Report,
+) {
+    let units = match scope {
+        EpochScope::Full => (0..topo.num_pns()).len(),
+        EpochScope::Pairs(pairs) => pairs.len(),
+    };
+    let chunk = units.div_ceil(workers.max(1)).max(1);
+    let mut shards = (0..units)
+        .step_by(chunk)
+        .map(|lo| lo..units.min(lo + chunk));
+    let selection = usize::try_from(topo.w_prod(topo.height())).unwrap_or(0);
+    let worker = || Worker {
+        engine: SelectionEngine::with_view(router, faults.clone()),
+        paths: Vec::with_capacity(selection),
+    };
+    let before = report.findings.len();
+    let mut inspected = 0;
+    std::thread::scope(|threads| {
+        let first = shards.next();
+        let spawned: Vec<_> = shards
+            .map(|shard| {
+                let mut w = worker();
+                threads.spawn(move || {
+                    let mut findings = Vec::new();
+                    let n = w.audit(topo, faults, budget, scope, shard, &mut findings);
+                    (findings, n)
+                })
+            })
+            .collect();
+        if let Some(shard) = first {
+            inspected += worker().audit(topo, faults, budget, scope, shard, &mut report.findings);
+        }
+        for handle in spawned {
+            match handle.join() {
+                Ok((mut findings, n)) => {
+                    report.findings.append(&mut findings);
+                    inspected += n;
+                }
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    });
     report.record(RuleId::CoverageDisconnect, inspected, before);
+}
+
+/// One coverage worker's state: an uncached engine over the audited
+/// fault set and a path buffer sized for the largest selection, so a
+/// pair whose selection passes costs no allocation.
+struct Worker<'r, R> {
+    engine: SelectionEngine<&'r R>,
+    paths: Vec<PathId>,
+}
+
+impl<R: Router> Worker<'_, R> {
+    /// Audit the pairs of one shard — entries `shard` of the pair list,
+    /// or source rows `shard` against every destination at full scope —
+    /// appending findings to `findings`. Returns the pairs inspected.
+    fn audit(
+        &mut self,
+        topo: &Topology,
+        faults: &FaultSet,
+        budget: Budget,
+        scope: EpochScope<'_>,
+        shard: Range<usize>,
+        findings: &mut Vec<Diagnostic>,
+    ) -> u64 {
+        let mut inspected = 0u64;
+        let full = matches!(scope, EpochScope::Full);
+        let mut audit = |s: PnId, d: PnId| {
+            if s == d {
+                return;
+            }
+            inspected += 1;
+            let surviving = if full {
+                walked_survivor_count(topo, faults, s, d)
+            } else {
+                faults.survivors(topo, s, d).count()
+            };
+            audit_degraded_pair(
+                topo,
+                &mut self.engine,
+                faults,
+                budget,
+                s,
+                d,
+                surviving,
+                &mut self.paths,
+                findings,
+            );
+        };
+        match scope {
+            EpochScope::Full => {
+                let n = topo.num_pns();
+                let rows = (0..n).skip(shard.start).take(shard.len());
+                rows.for_each(|s| (0..n).for_each(|d| audit(PnId(s), PnId(d))));
+            }
+            EpochScope::Pairs(pairs) => pairs[shard].iter().for_each(|&(s, d)| audit(s, d)),
+        }
+        inspected
+    }
 }
 
 /// The full-scope reference count of a pair's surviving paths: every

@@ -139,10 +139,10 @@ pub fn certify_epoch(
     faults: &FaultSet,
     scope: EpochScope<'_>,
 ) -> Report {
-    let degraded = SelectionEngine::with_view(kind, faults.clone());
-    let mut report = Report::new(topology_label, degraded.name());
+    let mut report = Report::new(topology_label, degraded_name(kind, faults));
     let before = report.findings.len();
     if let EpochScope::Full = scope {
+        let degraded = SelectionEngine::with_view(kind, faults.clone());
         let cdg = Cdg::from_router(topo, &degraded, Some(faults));
         if let Some(diag) = cdg.deadlock_finding(topo) {
             report.findings.push(diag);
@@ -154,6 +154,16 @@ pub fn certify_epoch(
         report.record(RuleId::CtlCertificate, pairs.len() as u64, before);
     }
     report
+}
+
+/// The scheme label of `kind` degraded under `faults`: the name its
+/// [`SelectionEngine`] reports, without building one.
+fn degraded_name(kind: RouterKind, faults: &FaultSet) -> String {
+    if faults.is_empty() {
+        kind.name()
+    } else {
+        format!("{}+faults", kind.name())
+    }
 }
 
 /// The ordered SD pairs whose canonical up\*/down\* path space touches
@@ -384,6 +394,79 @@ mod tests {
             reports.push(coverage_part(&report));
         }
         assert_eq!(reports[0], reports[1]);
+    }
+
+    /// A broken router whose certificate interleaves findings of two
+    /// rules, so their order matters: it drops a path on a third of the
+    /// pairs (`COV-COUNT`) and repeats one on another third (`COV-DUP`).
+    struct DropsOrRepeats;
+    impl Router for DropsOrRepeats {
+        fn fill_paths(&self, topo: &Topology, s: PnId, d: PnId, out: &mut Vec<xgft::PathId>) {
+            RouterKind::Disjoint(4).fill_paths(topo, s, d, out);
+            match (s.0 + d.0) % 3 {
+                0 if out.len() > 1 => {
+                    out.pop();
+                }
+                1 => out.push(out[0]),
+                _ => {}
+            }
+        }
+        fn name(&self) -> String {
+            "drops-or-repeats".to_owned()
+        }
+    }
+
+    #[test]
+    fn sharded_certificates_are_byte_identical() {
+        let topo = fig3();
+        let faults = FaultSet::sample(&topo, 0.05, 0.05, 9);
+        let pairs = every_pair(&topo);
+        let few = &pairs[60..64];
+        // At full scope and on the short list the last count exceeds
+        // the source rows or pair entries: the surplus gets no shard.
+        let rows = topo.num_pns() as usize;
+        for (scope, most) in [
+            (EpochScope::Full, rows + 3),
+            (EpochScope::Pairs(&pairs), 5),
+            (EpochScope::Pairs(few), few.len() + 3),
+        ] {
+            let run = |workers: usize| {
+                let mut report = Report::new("fig3", "drops-or-repeats");
+                coverage::audit_degraded(
+                    &topo,
+                    &DropsOrRepeats,
+                    &faults,
+                    Budget::Limited(4),
+                    scope,
+                    workers,
+                    &mut report,
+                );
+                report
+            };
+            let one = run(1);
+            let found = |rule: RuleId| one.findings.iter().any(|f| f.rule == rule);
+            assert!(found(RuleId::CoverageCount) && found(RuleId::CoverageDuplicate));
+            for workers in [2, 3, 5, most] {
+                let many = run(workers);
+                assert_eq!(many.to_json(), one.to_json(), "{workers} workers");
+                assert_eq!(many.checks, one.checks, "{workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn degraded_name_is_the_engine_name() {
+        let topo = fig3();
+        for faults in [FaultSet::new(), FaultSet::sample(&topo, 0.05, 0.0, 3)] {
+            for kind in [
+                RouterKind::DModK,
+                RouterKind::Disjoint(4),
+                RouterKind::Umulti,
+            ] {
+                let engine = SelectionEngine::with_view(kind, faults.clone());
+                assert_eq!(degraded_name(kind, &faults), engine.name());
+            }
+        }
     }
 
     /// The ground truth `change_blast_radius` must reproduce: a pair is

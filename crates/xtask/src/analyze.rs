@@ -96,7 +96,8 @@ const TIME_APPROVED: &[&str] = &[
 
 /// Modules approved to spawn threads / build locks and channels: the
 /// ctld socket front end, the standby replication follower, the
-/// sweep/study samplers, and the ctld bench and soak drivers.
+/// sweep/study samplers, the sharded degraded-coverage audit, and the
+/// ctld bench and soak drivers.
 const THREAD_APPROVED: &[&str] = &[
     "crates/ctld/src/bin/ctl_bench.rs",
     "crates/ctld/src/bin/ctl_soak.rs",
@@ -104,6 +105,7 @@ const THREAD_APPROVED: &[&str] = &[
     "crates/ctld/src/server.rs",
     "crates/flitsim/src/sweep.rs",
     "crates/flowsim/src/study.rs",
+    "crates/verify/src/coverage.rs",
 ];
 
 const ALLOWLIST: &str = "crates/xtask/analyze-allowlist.txt";
