@@ -27,6 +27,22 @@ if grep -rniE --include="*.rs" \
   echo "FNV-1a / SplitMix64 / json_string redefined outside crates/codec" >&2
   exit 1
 fi
+# Independent work fans out through lmpr_codec::par alone: one CPU
+# count, one scoped pool, one panic policy. (The analyzer's pattern list
+# names `thread::scope` as data.) The sweep's panic-to-error variants
+# stay retired.
+if grep -rnE --include="*.rs" "available_parallelism|thread::scope" \
+     crates src tests examples |
+   grep -v "^crates/codec/" |
+   grep -vE '^crates/xtask/src/analyze.rs:[0-9]+: +"thread::scope",$'; then
+  echo "available_parallelism / thread::scope outside crates/codec" >&2
+  exit 1
+fi
+if grep -rnE --include="*.rs" "WorkerPanicked|MissingResult" \
+     crates src tests examples; then
+  echo "SweepError::WorkerPanicked / MissingResult are retired" >&2
+  exit 1
+fi
 # JSON layout lives in crates/codec: every result document, certificate
 # and wire frame is written by lmpr_codec::json::Writer, and a nested
 # document writes itself into its parent's writer. The hand-laid-out

@@ -53,7 +53,7 @@ fn main() {
     let mut records = Vec::new();
     let mut columns = Vec::new();
     for s in &schemes {
-        columns.push(run_sweep(&topo, s, cfg, &loads, 0).expect("sweep runs"));
+        columns.push(run_sweep(&topo, s, cfg, &loads).expect("sweep runs"));
     }
     for (i, &load) in loads.iter().enumerate() {
         print!("{:>5.0}%", load * 100.0);

@@ -50,7 +50,7 @@ fn main() {
 }
 
 fn saturation(topo: &Topology, r: &RouterKind, cfg: SimConfig, loads: &[f64]) -> f64 {
-    let points = run_sweep(topo, r, cfg, loads, 0).expect("sweep runs");
+    let points = run_sweep(topo, r, cfg, loads).expect("sweep runs");
     saturation_throughput(&points)
 }
 

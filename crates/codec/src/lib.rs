@@ -15,6 +15,10 @@
 //!   stream (path samples, permutations, flit arrivals).
 //! * [`cases`] — seeded property cases for the workspace's tests: a
 //!   SplitMix64 stream seeded by the FNV-1a of the property's name.
+//! * [`par`] — the one ordered fan-out: independent items on scoped
+//!   threads, results in item order at any worker count. It lives here
+//!   because this is the one leaf every multi-threaded sampler and audit
+//!   already depends on.
 //!
 //! The crate has no dependencies and never panics on input: it parses
 //! untrusted socket bytes for `lmpr-ctld`.
@@ -25,5 +29,6 @@ pub mod cases;
 pub mod envelope;
 pub mod fnv;
 pub mod json;
+pub mod par;
 pub mod splitmix;
 pub mod xoshiro;

@@ -35,10 +35,10 @@
 //! alone — the client never reads a clock, keeping it usable from
 //! deterministic harnesses (DET-TIME).
 
-use crate::failpoint::{FailPlan, FaultCounters, FaultyStream};
+use crate::failpoint::{dialed, Duplex, FailPlan, FaultCounters};
 use crate::wire::{read_frame, write_frame, ErrorCode, Request, Response, WireError};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -93,7 +93,8 @@ pub struct ClientConfig {
     /// way a fully dropped reply frame is ever detected.
     pub read_timeout_ms: Option<u64>,
     /// When set, every dialed connection is wrapped in a
-    /// [`FaultyStream`] driven by `plan.derive(connection_index)`:
+    /// [`crate::failpoint::FaultyStream`] driven by
+    /// `plan.derive(connection_index)`:
     /// client-side wire-fault injection for the soak harness and tests.
     pub wire_faults: Option<FailPlan>,
 }
@@ -182,10 +183,6 @@ pub struct ClientStats {
     /// generation or failing away from a deposed one.
     pub gen_retries: u64,
 }
-
-/// Both halves of a stream, boxable.
-trait Duplex: Read + Write + Send {}
-impl<S: Read + Write + Send> Duplex for S {}
 
 /// A reconnecting, retrying connection to an ordered list of daemon
 /// endpoints (one socket is the degenerate single-endpoint case).
@@ -295,14 +292,7 @@ impl Client {
             let index = self.conn_index;
             self.conn_index += 1;
             self.stats.connects += 1;
-            self.conn = Some(match self.cfg.wire_faults {
-                Some(plan) if plan.armed() => Box::new(FaultyStream::new(
-                    stream,
-                    plan.derive(index),
-                    self.counters.clone(),
-                )),
-                _ => Box::new(stream),
-            });
+            self.conn = Some(dialed(stream, self.cfg.wire_faults, index, &self.counters));
             return Ok(());
         }
         Err(last_err.unwrap_or_else(|| io::Error::other("no endpoint answered")))

@@ -63,6 +63,11 @@ use xgft::{FaultChange, FaultSchedule, FaultSet, PnId, Topology};
 /// supply it.
 pub type MicrosClock = Box<dyn FnMut() -> u64 + Send>;
 
+/// First degraded-mode retry delay, in logical ticks.
+pub const BACKOFF_BASE_TICKS: u64 = 100;
+/// Upper bound on a degraded-mode retry delay, in logical ticks.
+pub const BACKOFF_CAP_TICKS: u64 = 10_000;
+
 /// Configuration of one controller instance.
 #[derive(Debug, Clone)]
 pub struct CtlConfig {
@@ -74,18 +79,13 @@ pub struct CtlConfig {
     pub state_dir: PathBuf,
     /// Replayed fault timeline (empty when the feed is socket-only).
     pub schedule: FaultSchedule,
-    /// First degraded-mode retry delay, in logical ticks.
-    pub backoff_base_ticks: u64,
-    /// Upper bound on the retry delay, in logical ticks.
-    pub backoff_cap_ticks: u64,
     /// Test hook: sleep this long inside each reconvergence, so a
     /// SIGKILL can land mid-reconvergence deterministically.
     pub reconverge_delay_ms: u64,
 }
 
 impl CtlConfig {
-    /// Defaults for a topology/scheme pair: 100-tick → 10 000-tick
-    /// backoff.
+    /// Defaults for a topology/scheme pair.
     pub fn new(
         topo_name: impl Into<String>,
         kind: RouterKind,
@@ -96,8 +96,6 @@ impl CtlConfig {
             kind,
             state_dir: state_dir.into(),
             schedule: FaultSchedule::new(),
-            backoff_base_ticks: 100,
-            backoff_cap_ticks: 10_000,
             reconverge_delay_ms: 0,
         }
     }
@@ -697,11 +695,9 @@ impl Controller {
                 Mode::Serving => 1,
             };
             let shift = u32::min(attempts.saturating_sub(1), 32);
-            let delay = self
-                .cfg
-                .backoff_base_ticks
+            let delay = BACKOFF_BASE_TICKS
                 .saturating_mul(1u64 << shift)
-                .min(self.cfg.backoff_cap_ticks);
+                .min(BACKOFF_CAP_TICKS);
             self.mode = Mode::Degraded {
                 attempts,
                 next_retry_at: self.now.saturating_add(delay),

@@ -3,8 +3,8 @@
 //! The daemon's own failure surface is storage and socket I/O. One
 //! [`FailPlan`] drives both: the checkpoint [`crate::store::Store`]
 //! consults it at its five fault sites (create, write, sync, rename and
-//! the pruning unlink), and [`FaultyStream`] wraps the wire layer's
-//! stream reads and writes. Every decision is a **pure function of a
+//! the pruning unlink), and [`FaultyStream`] wraps the reads and writes
+//! of the connections the client and the standby follower dial. Every decision is a **pure function of a
 //! seed**: fault number `n` at site `s` either fires or not depending
 //! only on `(seed, s, n)`. Any failure interleaving the soak harness
 //! provokes therefore replays from the soak's `--seed`; the plan's
@@ -440,6 +440,31 @@ impl<S: Write> Write for FaultyStream<S> {
 
     fn flush(&mut self) -> io::Result<()> {
         self.inner.flush()
+    }
+}
+
+/// Both halves of a stream, boxable.
+pub(crate) trait Duplex: Read + Write + Send {}
+impl<S: Read + Write + Send> Duplex for S {}
+
+/// A dialed connection, the `index`-th of its dialer: wrapped in a
+/// [`FaultyStream`] on `plan.derive(index)` when `plan` is armed, bare
+/// otherwise. The derived plan makes each connection's fault sequence
+/// depend only on the seed and the dial order, not on frame
+/// interleaving.
+pub(crate) fn dialed<S: Duplex + 'static>(
+    stream: S,
+    plan: Option<FailPlan>,
+    index: u64,
+    counters: &FaultCounters,
+) -> Box<dyn Duplex> {
+    match plan {
+        Some(plan) if plan.armed() => Box::new(FaultyStream::new(
+            stream,
+            plan.derive(index),
+            counters.clone(),
+        )),
+        _ => Box::new(stream),
     }
 }
 

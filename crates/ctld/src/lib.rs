@@ -36,7 +36,8 @@
 //!
 //! * **Deterministic failure injection** ([`failpoint`]): the
 //!   checkpoint store's create, write, sync, rename and pruning unlink
-//!   and every stream read/write of the wire layer consult a seeded
+//!   and every stream read/write of a dialed connection (the client's
+//!   and the standby follower's) consult a seeded
 //!   fault plan whose decisions are a pure function of the seed, so any
 //!   failure interleaving — short writes, ENOSPC, fsync-then-crash,
 //!   torn renames, torn frames, mid-frame disconnects — replays from

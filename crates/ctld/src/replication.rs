@@ -28,10 +28,9 @@
 //! because the snapshot always carries the primary's newest state.
 
 use crate::client::RetryPolicy;
-use crate::failpoint::{FailPlan, FaultCounters, FaultyStream};
+use crate::failpoint::{dialed, Duplex, FailPlan, FaultCounters};
 use crate::store::{Store, StoreError, RETAIN};
 use crate::wire::{read_frame, write_frame, ErrorCode, Request, Response};
-use std::io::{Read, Write};
 use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -52,7 +51,8 @@ pub struct ReplicaConfig {
     /// Upper bound on any single redial delay, in milliseconds.
     pub redial_cap_ms: u64,
     /// When set, every dialed connection is wrapped in a
-    /// [`FaultyStream`] driven by `plan.derive(connection_index)`.
+    /// [`crate::failpoint::FaultyStream`] driven by
+    /// `plan.derive(connection_index)`.
     pub wire_faults: Option<FailPlan>,
     /// When set, the follower thread exits after this many
     /// *consecutive* failed dials — the hook the `ctld` binary's
@@ -254,14 +254,7 @@ fn follow(cfg: ReplicaConfig, mut store: Store, shared: &Shared) {
         }
         let index = conn_index;
         conn_index += 1;
-        let mut conn: Box<dyn Duplex> = match cfg.wire_faults {
-            Some(plan) if plan.armed() => Box::new(FaultyStream::new(
-                stream,
-                plan.derive(index),
-                counters.clone(),
-            )),
-            _ => Box::new(stream),
-        };
+        let mut conn = dialed(stream, cfg.wire_faults, index, &counters);
         if feed(&cfg, &mut store, shared, &mut conn) {
             shared.resyncs.fetch_add(1, Ordering::SeqCst);
         }
@@ -270,10 +263,6 @@ fn follow(cfg: ReplicaConfig, mut store: Store, shared: &Shared) {
         }
     }
 }
-
-/// Both halves of a stream, boxable.
-trait Duplex: Read + Write {}
-impl<S: Read + Write> Duplex for S {}
 
 /// Subscribe on an established connection and apply pushes until the
 /// stream dies. Returns `true` when the loss should count as a resync

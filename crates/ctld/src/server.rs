@@ -28,7 +28,6 @@
 //! the socket file is removed.
 
 use crate::controller::{Controller, CtlError, Mode, Published, StatusInfo};
-use crate::failpoint::{FailPlan, FaultCounters, FaultyStream};
 use crate::wire::{read_frame, write_frame, ChangeSpec, ErrorCode, Request, Response, MAX_FRAME};
 use std::io::{self, Read};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -46,11 +45,6 @@ pub struct ServerConfig {
     /// Bound on queued writes; overflow is rejected as `overload`.
     /// Reads are never queued.
     pub queue_cap: usize,
-    /// When set, every accepted connection is wrapped in a
-    /// [`FaultyStream`] driven by a per-connection child of this plan
-    /// (`plan.derive(connection_index)`), so the server's own read and
-    /// write paths run under injected wire faults.
-    pub wire_faults: Option<FailPlan>,
 }
 
 impl ServerConfig {
@@ -59,7 +53,6 @@ impl ServerConfig {
         ServerConfig {
             socket_path: socket_path.into(),
             queue_cap: 64,
-            wire_faults: None,
         }
     }
 }
@@ -468,30 +461,14 @@ pub fn serve(mut ctl: Controller, cfg: ServerConfig) -> Result<(), io::Error> {
     let acceptor = {
         let shutting_down = Arc::clone(&shutting_down);
         let slot = Arc::clone(&slot);
-        let wire_faults = cfg.wire_faults;
-        let counters = FaultCounters::new();
         std::thread::spawn(move || {
-            let mut conn_index = 0u64;
             for stream in listener.incoming() {
                 if shutting_down.load(Ordering::SeqCst) {
                     return;
                 }
                 let Ok(stream) = stream else { continue };
                 let (slot, queue, ack) = (Arc::clone(&slot), tx.clone(), ack_tx.clone());
-                match wire_faults {
-                    Some(plan) if plan.armed() => {
-                        // Each connection gets its own derived plan so its
-                        // fault sequence depends only on the seed and its
-                        // accept order, not on frame interleaving.
-                        let faulty =
-                            FaultyStream::new(stream, plan.derive(conn_index), counters.clone());
-                        std::thread::spawn(move || handle_connection(faulty, slot, queue, ack));
-                    }
-                    _ => {
-                        std::thread::spawn(move || handle_connection(stream, slot, queue, ack));
-                    }
-                }
-                conn_index += 1;
+                std::thread::spawn(move || handle_connection(stream, slot, queue, ack));
             }
         })
     };

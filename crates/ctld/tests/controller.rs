@@ -4,6 +4,7 @@
 use lmpr_codec::{fnv, splitmix};
 use lmpr_core::forwarding::{ForwardingTables, SlotOrder};
 use lmpr_core::{Router, RouterKind, SelectionEngine};
+use lmpr_ctld::controller::{BACKOFF_BASE_TICKS, BACKOFF_CAP_TICKS};
 use lmpr_ctld::{serve, ChangeSpec, Client, Controller, CtlConfig, CtlError, Mode, ServerConfig};
 use std::path::PathBuf;
 use xgft::{FaultSchedule, FaultSet, PathId, PnId, Topology};
@@ -203,8 +204,8 @@ fn failed_certificate_degrades_and_recovery_is_served_from_last_good() {
 #[test]
 fn degraded_backoff_is_capped() {
     let cfg = base_cfg("backoff");
-    let base = cfg.backoff_base_ticks;
-    let cap = cfg.backoff_cap_ticks;
+    let base = BACKOFF_BASE_TICKS;
+    let cap = BACKOFF_CAP_TICKS;
     let (mut ctl, _) = Controller::start(cfg.clone()).expect("start");
     ctl.set_chaos_fail_certs(true);
     ctl.ingest(1, &[ChangeSpec::LinkDown(1)]).expect("staged");

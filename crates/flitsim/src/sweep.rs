@@ -1,202 +1,80 @@
 //! Offered-load sweeps across worker threads.
 //!
 //! Table 1 and Figure 5 both need one simulation per offered-load point;
-//! the points are independent, so they fan out over threads. Workers
-//! pull load indices from a shared atomic counter and send results back
-//! over a channel; results are re-ordered by load index, keeping the
-//! output deterministic. A panicking worker is caught and reported as a
-//! [`SweepError`] naming the failing load point instead of poisoning
-//! the whole sweep.
+//! the points are independent, so they fan out over
+//! [`lmpr_codec::par::map`], which returns them in load order at any
+//! worker count.
 
 use crate::error::SimError;
 use crate::{FlitSim, LoadPoint, SimConfig};
+use lmpr_codec::par;
 use lmpr_core::Router;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 use xgft::Topology;
 
-/// Why a sweep failed, always naming the offending load point.
+/// Why a sweep failed: the lowest-index load point whose simulation
+/// returned an error.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SweepError {
-    /// One simulation returned a typed error (bad config or deadlock).
-    Sim {
-        /// The offered load of the failing point.
-        load: f64,
-        /// Index of the point within the sweep grid.
-        index: usize,
-        /// The underlying simulator error.
-        source: SimError,
-    },
-    /// One worker panicked while simulating a load point.
-    WorkerPanicked {
-        /// The offered load of the failing point.
-        load: f64,
-        /// Index of the point within the sweep grid.
-        index: usize,
-        /// The panic payload, if it was a string.
-        message: String,
-    },
-    /// A load index produced no result (a worker died without
-    /// reporting) — surfaced instead of silently emitting a NaN point.
-    MissingResult {
-        /// Index of the unfilled point.
-        index: usize,
-    },
+pub struct SweepError {
+    /// The offered load of the failing point.
+    pub load: f64,
+    /// Index of the point within the sweep grid.
+    pub index: usize,
+    /// The underlying simulator error (bad config or deadlock).
+    pub source: SimError,
 }
 
 impl std::fmt::Display for SweepError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SweepError::Sim {
-                load,
-                index,
-                source,
-            } => {
-                write!(f, "sweep point {index} (load {load}) failed: {source}")
-            }
-            SweepError::WorkerPanicked {
-                load,
-                index,
-                message,
-            } => {
-                write!(f, "sweep point {index} (load {load}) panicked: {message}")
-            }
-            SweepError::MissingResult { index } => {
-                write!(f, "sweep point {index} produced no result")
-            }
-        }
+        let (index, load, source) = (self.index, self.load, &self.source);
+        write!(f, "sweep point {index} (load {load}) failed: {source}")
     }
 }
 
 impl std::error::Error for SweepError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SweepError::Sim { source, .. } => Some(source),
-            _ => None,
-        }
+        Some(&self.source)
     }
 }
 
-/// Outcome of one worker simulation, sent back over the result channel.
-type PointResult = (usize, Result<LoadPoint, SweepError>);
-
 /// Run one simulation per entry of `loads` (each uses `cfg` with the
-/// offered load replaced) and return the load points in input order.
-///
-/// `threads = 0` uses all available parallelism. The first failing load
-/// point (lowest index) is reported; every index is guaranteed to be
-/// filled on success.
+/// offered load replaced) on all available CPUs and return the load
+/// points in input order, or the lowest-index failing point.
 pub fn run_sweep<R>(
     topo: &Topology,
     router: &R,
     cfg: SimConfig,
     loads: &[f64],
-    threads: usize,
 ) -> Result<Vec<LoadPoint>, SweepError>
 where
     R: Router + Clone,
 {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        threads
-    }
-    .min(loads.len().max(1));
-
-    if threads <= 1 {
-        return loads
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| simulate_point(topo, router.clone(), cfg, i, l))
-            .collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let (res_tx, res_rx) = mpsc::channel::<PointResult>();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let res_tx = res_tx.clone();
-            let router = router.clone();
-            let next = &next;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&load) = loads.get(i) else { break };
-                let outcome = simulate_point(topo, router.clone(), cfg, i, load);
-                if res_tx.send((i, outcome)).is_err() {
-                    break; // receiver gone: the sweep already failed
-                }
-            });
-        }
-        drop(res_tx);
-
-        let mut out: Vec<Option<LoadPoint>> = vec![None; loads.len()];
-        let mut first_error: Option<SweepError> = None;
-        for (i, outcome) in res_rx.iter() {
-            match outcome {
-                Ok(p) => out[i] = Some(p),
-                // Keep draining so workers finish, but remember the
-                // lowest-index failure for a deterministic report.
-                Err(e) => match &first_error {
-                    Some(prev) if error_index(prev) <= i => {}
-                    _ => first_error = Some(e),
-                },
-            }
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        out.into_iter()
-            .enumerate()
-            .map(|(index, p)| p.ok_or(SweepError::MissingResult { index }))
-            .collect()
-    })
+    sweep_on(topo, router, cfg, loads, usize::MAX)
 }
 
-/// Run one load point, converting panics and simulator errors into
-/// [`SweepError`]s that name the point.
-fn simulate_point<R: Router>(
+/// [`run_sweep`] on at most `workers` threads.
+fn sweep_on<R>(
     topo: &Topology,
-    router: R,
+    router: &R,
     cfg: SimConfig,
-    index: usize,
-    load: f64,
-) -> Result<LoadPoint, SweepError> {
-    let sim = catch_unwind(AssertUnwindSafe(|| {
-        FlitSim::simulate(topo, router, cfg.with_load(load))
-    }));
-    match sim {
-        Ok(Ok(stats)) => Ok(stats.load_point()),
-        Ok(Err(source)) => Err(SweepError::Sim {
-            load,
-            index,
-            source,
-        }),
-        Err(payload) => Err(SweepError::WorkerPanicked {
-            load,
-            index,
-            message: panic_message(payload.as_ref()),
-        }),
-    }
-}
-
-fn error_index(e: &SweepError) -> usize {
-    match e {
-        SweepError::Sim { index, .. }
-        | SweepError::WorkerPanicked { index, .. }
-        | SweepError::MissingResult { index } => *index,
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
+    loads: &[f64],
+    workers: usize,
+) -> Result<Vec<LoadPoint>, SweepError>
+where
+    R: Router + Clone,
+{
+    let point = |_: &mut (), index: usize| {
+        let load = loads[index];
+        let run = FlitSim::simulate(topo, router.clone(), cfg.with_load(load));
+        run.map(|stats| stats.load_point())
+            .map_err(|source| SweepError {
+                load,
+                index,
+                source,
+            })
+    };
+    par::map(loads.len(), workers, || (), point)
+        .into_iter()
+        .collect()
 }
 
 /// A standard sweep grid: `step, 2·step, …` up to and including 1.0.
@@ -235,8 +113,8 @@ mod tests {
             ..SimConfig::default()
         };
         let loads = [0.2, 0.6];
-        let serial = run_sweep(&topo, &DModK, cfg, &loads, 1).expect("sweep runs");
-        let parallel = run_sweep(&topo, &DModK, cfg, &loads, 2).expect("sweep runs");
+        let serial = sweep_on(&topo, &DModK, cfg, &loads, 1).expect("sweep runs");
+        let parallel = sweep_on(&topo, &DModK, cfg, &loads, 2).expect("sweep runs");
         assert_eq!(serial, parallel);
         assert_eq!(serial[0].offered, 0.2);
         assert_eq!(serial[1].offered, 0.6);
@@ -253,20 +131,15 @@ mod tests {
         };
         // Load 1.5 fails config validation inside the worker.
         let loads = [0.2, 1.5];
-        for threads in [1, 2] {
-            let err = run_sweep(&topo, &DModK, cfg, &loads, threads).unwrap_err();
-            match err {
-                SweepError::Sim {
-                    load,
-                    index,
-                    source,
-                } => {
-                    assert_eq!(load, 1.5);
-                    assert_eq!(index, 1);
-                    assert!(matches!(source, SimError::Config(_)));
-                }
-                other => panic!("expected a Sim error, got {other:?}"),
-            }
+        for workers in [1, 2] {
+            let SweepError {
+                load,
+                index,
+                source,
+            } = sweep_on(&topo, &DModK, cfg, &loads, workers).unwrap_err();
+            assert_eq!(load, 1.5);
+            assert_eq!(index, 1);
+            assert!(matches!(source, SimError::Config(_)));
         }
     }
 
@@ -274,6 +147,6 @@ mod tests {
     fn empty_sweep_is_empty() {
         let topo = Topology::new(XgftSpec::new(&[4, 4], &[1, 4]).unwrap());
         let cfg = SimConfig::default();
-        assert_eq!(run_sweep(&topo, &DModK, cfg, &[], 4), Ok(vec![]));
+        assert_eq!(run_sweep(&topo, &DModK, cfg, &[]), Ok(vec![]));
     }
 }

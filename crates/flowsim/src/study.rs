@@ -6,12 +6,13 @@
 //! the confidence interval is less than 1 % of the average, we stop …
 //! If [not], we double the number of samples and repeat."
 //!
-//! Samples are independent, so they fan out across worker threads; each
-//! sample's permutation seed is a pure function of `(study seed, sample
-//! index)`, which keeps results bit-identical for any thread count.
+//! Samples are independent, so they fan out over
+//! [`lmpr_codec::par::map`]; each sample's permutation seed is a pure
+//! function of `(study seed, sample index)`, which keeps results
+//! bit-identical for any worker count.
 
 use crate::LinkLoads;
-use lmpr_codec::splitmix;
+use lmpr_codec::{par, splitmix};
 use lmpr_core::{Router, RouterKind};
 use lmpr_traffic::{random_permutation, TrafficMatrix};
 use xgft::Topology;
@@ -22,9 +23,7 @@ pub const Z_99: f64 = 2.576;
 /// Parameters of a permutation study.
 #[derive(Debug, Clone, Copy)]
 pub struct StudyConfig {
-    /// z-score of the confidence level (default: `Z_99` = 2.576).
-    pub z: f64,
-    /// Stop once `z·σ/√n ≤ rel_half_width · mean` (default 0.01).
+    /// Stop once `Z_99·σ/√n ≤ rel_half_width · mean` (default 0.01).
     pub rel_half_width: f64,
     /// First batch size (default 100, then doubling).
     pub initial_samples: usize,
@@ -32,19 +31,15 @@ pub struct StudyConfig {
     pub max_samples: usize,
     /// Base seed for the permutation stream.
     pub seed: u64,
-    /// Worker threads; 0 means `std::thread::available_parallelism`.
-    pub threads: usize,
 }
 
 impl Default for StudyConfig {
     fn default() -> Self {
         StudyConfig {
-            z: Z_99,
             rel_half_width: 0.01,
             initial_samples: 100,
             max_samples: 102_400,
             seed: 0x5EED_CAFE,
-            threads: 0,
         }
     }
 }
@@ -55,7 +50,7 @@ impl Default for StudyConfig {
 pub struct StudyResult {
     /// Mean of the per-permutation maximum link loads.
     pub mean: f64,
-    /// Half-width of the confidence interval at the configured level.
+    /// Half-width of the 99 % confidence interval.
     pub half_width: f64,
     /// Sample standard deviation.
     pub std_dev: f64,
@@ -71,6 +66,8 @@ pub struct StudyResult {
 pub struct PermutationStudy {
     topo: Topology,
     cfg: StudyConfig,
+    /// Most threads a batch of samples runs on.
+    workers: usize,
 }
 
 impl PermutationStudy {
@@ -80,8 +77,12 @@ impl PermutationStudy {
             cfg.initial_samples >= 2,
             "need at least two samples for a CI"
         );
-        assert!(cfg.rel_half_width > 0.0 && cfg.z > 0.0);
-        PermutationStudy { topo, cfg }
+        assert!(cfg.rel_half_width > 0.0);
+        PermutationStudy {
+            topo,
+            cfg,
+            workers: usize::MAX,
+        }
     }
 
     /// The topology under study.
@@ -97,7 +98,7 @@ impl PermutationStudy {
         loop {
             self.sample_range(router, values.len(), target, &mut values);
             let (mean, sd) = mean_std(&values);
-            let half_width = self.cfg.z * sd / (values.len() as f64).sqrt();
+            let half_width = Z_99 * sd / (values.len() as f64).sqrt();
             let converged = half_width <= self.cfg.rel_half_width * mean;
             if converged || target >= self.cfg.max_samples {
                 return StudyResult {
@@ -115,39 +116,9 @@ impl PermutationStudy {
     /// Evaluate samples `from..to` in parallel and append them (in
     /// sample-index order) to `values`.
     fn sample_range<R: Router>(&self, router: &R, from: usize, to: usize, values: &mut Vec<f64>) {
-        let n = to - from;
-        let threads = if self.cfg.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            self.cfg.threads
-        }
-        .min(n)
-        .max(1);
-        let mut out = vec![0.0f64; n];
-        if threads == 1 {
-            let mut loads = LinkLoads::zero(&self.topo);
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot = self.one_sample(router, from + i, &mut loads);
-            }
-        } else {
-            // Static contiguous chunking: each worker owns a disjoint
-            // `&mut` slice, results land at their sample index, and the
-            // outcome is independent of scheduling. Samples are
-            // homogeneous, so static partitioning balances well.
-            let chunk = n.div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (c, slice) in out.chunks_mut(chunk).enumerate() {
-                    let base = from + c * chunk;
-                    scope.spawn(move || {
-                        let mut loads = LinkLoads::zero(&self.topo);
-                        for (i, slot) in slice.iter_mut().enumerate() {
-                            *slot = self.one_sample(router, base + i, &mut loads);
-                        }
-                    });
-                }
-            });
-        }
-        values.extend_from_slice(&out);
+        let buffers = || LinkLoads::zero(&self.topo);
+        let sample = |loads: &mut LinkLoads, i| self.one_sample(router, from + i, loads);
+        values.extend(par::map(to - from, self.workers, buffers, sample));
     }
 
     fn one_sample<R: Router>(&self, router: &R, index: usize, loads: &mut LinkLoads) -> f64 {
@@ -217,7 +188,6 @@ mod tests {
             initial_samples: 32,
             max_samples: 256,
             rel_half_width: 0.05,
-            threads: 2,
             ..StudyConfig::default()
         }
     }
@@ -225,11 +195,11 @@ mod tests {
     #[test]
     fn deterministic_across_thread_counts() {
         let topo = Topology::new(XgftSpec::m_port_n_tree(8, 2).unwrap());
-        let mut cfg = quick_cfg();
-        cfg.threads = 1;
-        let a = PermutationStudy::new(topo.clone(), cfg).run(&DModK);
-        cfg.threads = 4;
-        let b = PermutationStudy::new(topo, cfg).run(&DModK);
+        let mut study = PermutationStudy::new(topo, quick_cfg());
+        study.workers = 1;
+        let a = study.run(&DModK);
+        study.workers = 4;
+        let b = study.run(&DModK);
         assert_eq!(a, b);
     }
 

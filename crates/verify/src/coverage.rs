@@ -16,11 +16,11 @@
 //!   pair's path space bijectively (balanced multiplicity).
 
 use crate::{Diagnostic, EpochScope, Report, RuleId, Witness};
+use lmpr_codec::par;
 use lmpr_core::forwarding::{shift_vectors, ForwardingTables, SlotOrder};
 use lmpr_core::{RouteError, Router, SelectionEngine};
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::OnceLock;
 use xgft::{DirectedLinkId, FaultSet, LinkDir, NodeId, PathId, PnId, Topology, MAX_HEIGHT};
 
 /// How many paths a scheme is expected to select per pair.
@@ -216,9 +216,9 @@ pub fn check_router_coverage<R: Router + ?Sized>(
 ///
 /// Pairs are independent, so a large scope is cut into contiguous
 /// shards — runs of the pair list, or of source rows at full scope —
-/// audited on up to [`std::thread::available_parallelism`] threads, at
-/// least `MIN_PAIRS_PER_WORKER` pairs each. Shards are merged in order,
-/// so the report is byte-identical at any worker count.
+/// one per worker of [`lmpr_codec::par::map`], at least
+/// `MIN_PAIRS_PER_WORKER` pairs each. Shards are merged in order, so the
+/// report is byte-identical at any worker count.
 pub fn check_degraded_coverage<R: Router>(
     topo: &Topology,
     router: R,
@@ -234,7 +234,7 @@ pub fn check_degraded_coverage<R: Router>(
         }
         EpochScope::Pairs(pairs) => pairs.len(),
     };
-    let workers = available_cpus().min(pairs / MIN_PAIRS_PER_WORKER);
+    let workers = par::workers(pairs / MIN_PAIRS_PER_WORKER);
     audit_degraded(topo, &router, faults, budget, scope, workers, report);
 }
 
@@ -242,18 +242,10 @@ pub fn check_degraded_coverage<R: Router>(
 /// microseconds of audit: smaller blast radii stay on the calling thread.
 const MIN_PAIRS_PER_WORKER: usize = 512;
 
-/// The CPUs this process may run on, read once: the query reads cgroup
-/// files, ≈ 23 µs a call on a 2-vCPU machine, 2 % of a scoped
-/// certificate.
-fn available_cpus() -> usize {
-    static CPUS: OnceLock<usize> = OnceLock::new();
-    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
-}
-
-/// [`check_degraded_coverage`] on `workers` threads (at least one, at
-/// most one per pair-list entry or source row). Shard 0 runs on the
-/// calling thread; each worker's engine and path buffer are built here,
-/// before it starts, and its findings are appended in shard order.
+/// [`check_degraded_coverage`] cut into `workers` contiguous shards (at
+/// least one, at most one per pair-list entry or source row). Each
+/// worker's engine and path buffer are built on the calling thread
+/// before any worker starts, and findings are appended in shard order.
 pub(crate) fn audit_degraded<R: Router>(
     topo: &Topology,
     router: &R,
@@ -268,41 +260,24 @@ pub(crate) fn audit_degraded<R: Router>(
         EpochScope::Pairs(pairs) => pairs.len(),
     };
     let chunk = units.div_ceil(workers.max(1)).max(1);
-    let mut shards = (0..units)
-        .step_by(chunk)
-        .map(|lo| lo..units.min(lo + chunk));
+    let shards = units.div_ceil(chunk);
     let selection = usize::try_from(topo.w_prod(topo.height())).unwrap_or(0);
     let worker = || Worker {
         engine: SelectionEngine::with_view(router, faults.clone()),
         paths: Vec::with_capacity(selection),
     };
+    let audit = |w: &mut Worker<'_, R>, i: usize| {
+        let shard = i * chunk..units.min((i + 1) * chunk);
+        let mut findings = Vec::new();
+        let inspected = w.audit(topo, faults, budget, scope, shard, &mut findings);
+        (findings, inspected)
+    };
     let before = report.findings.len();
     let mut inspected = 0;
-    std::thread::scope(|threads| {
-        let first = shards.next();
-        let spawned: Vec<_> = shards
-            .map(|shard| {
-                let mut w = worker();
-                threads.spawn(move || {
-                    let mut findings = Vec::new();
-                    let n = w.audit(topo, faults, budget, scope, shard, &mut findings);
-                    (findings, n)
-                })
-            })
-            .collect();
-        if let Some(shard) = first {
-            inspected += worker().audit(topo, faults, budget, scope, shard, &mut report.findings);
-        }
-        for handle in spawned {
-            match handle.join() {
-                Ok((mut findings, n)) => {
-                    report.findings.append(&mut findings);
-                    inspected += n;
-                }
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
+    for (mut findings, n) in par::map(shards, shards, worker, audit) {
+        report.findings.append(&mut findings);
+        inspected += n;
+    }
     report.record(RuleId::CoverageDisconnect, inspected, before);
 }
 

@@ -86,26 +86,24 @@ const CRATE_SRC_DIRS: &[&str] = &[
 /// binaries may abort on a broken run; libraries may not.
 const PANIC_EXEMPT_ROOT: &str = "crates/bench/src/";
 
-/// Modules approved to read wall clocks: the ctld server queue
-/// (enqueue timestamps for deadline rejection) and the ctld bench's
-/// timing. Everything else runs on logical clocks.
+/// Modules approved to read wall clocks: the ctld server (the
+/// monotonic clock behind the controller's reconvergence latency stats)
+/// and the ctld bench's timing. Everything else runs on logical clocks.
 const TIME_APPROVED: &[&str] = &[
     "crates/ctld/src/server.rs",
     "crates/ctld/src/bin/ctl_bench.rs",
 ];
 
 /// Modules approved to spawn threads / build locks and channels: the
-/// ctld socket front end, the standby replication follower, the
-/// sweep/study samplers, the sharded degraded-coverage audit, and the
-/// ctld bench and soak drivers.
+/// one ordered fan-out (behind the sweep and study samplers and the
+/// sharded degraded-coverage audit), the ctld socket front end, the
+/// standby replication follower, and the ctld bench and soak drivers.
 const THREAD_APPROVED: &[&str] = &[
+    "crates/codec/src/par.rs",
     "crates/ctld/src/bin/ctl_bench.rs",
     "crates/ctld/src/bin/ctl_soak.rs",
     "crates/ctld/src/replication.rs",
     "crates/ctld/src/server.rs",
-    "crates/flitsim/src/sweep.rs",
-    "crates/flowsim/src/study.rs",
-    "crates/verify/src/coverage.rs",
 ];
 
 const ALLOWLIST: &str = "crates/xtask/analyze-allowlist.txt";

@@ -32,15 +32,15 @@ fn main() {
     for (name, points) in [
         (
             "d-mod-k",
-            run_sweep(&topo, &DModK, cfg, &loads, 0).expect("sweep runs"),
+            run_sweep(&topo, &DModK, cfg, &loads).expect("sweep runs"),
         ),
         (
             "disjoint(2)",
-            run_sweep(&topo, &Disjoint::new(2), cfg, &loads, 0).expect("sweep runs"),
+            run_sweep(&topo, &Disjoint::new(2), cfg, &loads).expect("sweep runs"),
         ),
         (
             "disjoint(8)",
-            run_sweep(&topo, &Disjoint::new(8), cfg, &loads, 0).expect("sweep runs"),
+            run_sweep(&topo, &Disjoint::new(8), cfg, &loads).expect("sweep runs"),
         ),
     ] {
         print!("{name:>12} |");

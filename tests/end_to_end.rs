@@ -10,7 +10,6 @@ fn quick_cfg() -> StudyConfig {
         initial_samples: 40,
         max_samples: 160,
         rel_half_width: 0.04,
-        threads: 2,
         ..StudyConfig::default()
     }
 }

@@ -48,7 +48,7 @@ fn disjoint_has_highest_saturation_at_k8() {
     let cfg = quick(0.0).with_load(0.5); // load replaced by the sweep
     let loads = [0.6, 0.7, 0.8];
     let sat = |r: &dyn Router| {
-        saturation_throughput(&run_sweep(&topo, &r, cfg, &loads, 0).expect("sweep runs"))
+        saturation_throughput(&run_sweep(&topo, &r, cfg, &loads).expect("sweep runs"))
     };
     let dmodk = sat(&DModK);
     let shift = sat(&ShiftOne::new(8));
@@ -107,7 +107,7 @@ fn sweep_matches_direct_runs() {
     let topo = table1_topo();
     let cfg = quick(0.0);
     let loads = [0.2, 0.5];
-    let sweep = run_sweep(&topo, &DModK, cfg, &loads, 2).expect("sweep runs");
+    let sweep = run_sweep(&topo, &DModK, cfg, &loads).expect("sweep runs");
     for (i, &l) in loads.iter().enumerate() {
         let direct = FlitSim::simulate(&topo, DModK, cfg.with_load(l)).expect("valid config");
         assert_eq!(sweep[i], direct.load_point());
