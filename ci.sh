@@ -130,11 +130,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> cargo test -q --release -p xgft -p lmpr-core -p lmpr-flitsim"
+echo "==> cargo test -q --release -p xgft -p lmpr-core -p lmpr-flitsim -p lmpr-flowsim -p lmpr-verify"
 # The simulator stack again as it ships: the bitset worklists and
 # round-robin rotation are shift/mask arithmetic that wraps silently in
 # release builds, and every debug_assert! above them is compiled out.
-cargo test -q --release -p xgft -p lmpr-core -p lmpr-flitsim
+# The flow-level deposit and the certificates' path-shape check walk
+# paths by the closed-form u32 link arithmetic of xgft::PairWalk, so
+# they run here too.
+cargo test -q --release -p xgft -p lmpr-core -p lmpr-flitsim -p lmpr-flowsim -p lmpr-verify
 
 echo "==> verify --ci (static routing-correctness matrix)"
 cargo run -q --release -p lmpr-bench --bin verify -- --ci > /dev/null

@@ -72,8 +72,9 @@ impl LinkLoads {
             "cannot deposit a flow over an empty path set"
         );
         let share = demand / paths.len() as f64;
+        let walk = topo.pair_walk(src, dst);
         for &p in paths {
-            topo.walk_path(src, dst, p, |link| {
+            walk.walk(p, |link| {
                 self.loads[link.0 as usize] += share;
             });
         }

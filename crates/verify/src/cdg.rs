@@ -94,14 +94,13 @@ impl Cdg {
                 }
                 let (s, d) = (PnId(s), PnId(d));
                 router.fill_paths(topo, s, d, &mut paths);
+                let walk = topo.pair_walk(s, d);
                 for &p in &paths {
-                    if let Some(f) = faults {
-                        if !f.path_survives(topo, s, d, p) {
-                            continue;
-                        }
-                    }
                     links.clear();
-                    topo.walk_path(s, d, p, |l| links.push(l));
+                    walk.walk(p, |l| links.push(l));
+                    if faults.is_some_and(|f| links.iter().any(|&l| f.is_link_failed(l))) {
+                        continue;
+                    }
                     cdg.add_route(&links);
                 }
             }

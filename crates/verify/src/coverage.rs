@@ -21,7 +21,9 @@ use lmpr_core::forwarding::{shift_vectors, ForwardingTables, SlotOrder};
 use lmpr_core::{RouteError, Router, SelectionEngine};
 use std::collections::BTreeMap;
 use std::ops::Range;
-use xgft::{DirectedLinkId, FaultSet, LinkDir, NodeId, PathId, PnId, Topology, MAX_HEIGHT};
+use xgft::{
+    DirectedLinkId, FaultSet, LinkDir, NodeId, PairWalk, PathId, PnId, Topology, MAX_HEIGHT,
+};
 
 /// How many paths a scheme is expected to select per pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,17 +44,19 @@ impl Budget {
     }
 }
 
-/// Validate one selected path id: range, then the up\*/down\* shape of
-/// its link walk. Returns the findings it generated.
+/// Validate one selected path id of the pair `walk` walks: range, then
+/// the up\*/down\* shape of its link walk. Returns the findings it
+/// generated.
 fn check_path_shape(
     topo: &Topology,
+    walk: &PairWalk,
     s: PnId,
     d: PnId,
     p: PathId,
     faults: Option<&FaultSet>,
     out: &mut Vec<Diagnostic>,
 ) {
-    let x = topo.num_paths(s, d);
+    let x = walk.num_paths();
     if p.0 >= x {
         out.push(Diagnostic::error(
             RuleId::CoverageRange,
@@ -68,14 +72,14 @@ fn check_path_shape(
         ));
         return; // the walk below would assert on an out-of-range id
     }
-    let kappa = topo.nca_level(s, d);
-    let mut walk = [DirectedLinkId(0); 2 * MAX_HEIGHT];
+    let kappa = walk.kappa();
+    let mut buf = [DirectedLinkId(0); 2 * MAX_HEIGHT];
     let mut len = 0;
-    topo.walk_path(s, d, p, |l| {
-        walk[len] = l;
+    walk.walk(p, |l| {
+        buf[len] = l;
         len += 1;
     });
-    let links = &walk[..len];
+    let links = &buf[..len];
     let mut ok = links.len() == 2 * kappa;
     for (i, &l) in links.iter().enumerate() {
         let (level, dir) = topo.link_level_dir(l);
@@ -177,8 +181,9 @@ pub fn check_router_coverage<R: Router + ?Sized>(
                 ));
             }
             check_distinct(s, d, &paths, &mut report.findings);
+            let walk = topo.pair_walk(s, d);
             for &p in &paths {
-                check_path_shape(topo, s, d, p, None, &mut shape_findings);
+                check_path_shape(topo, &walk, s, d, p, None, &mut shape_findings);
             }
         }
     }
@@ -339,11 +344,19 @@ impl<R: Router> Worker<'_, R> {
 }
 
 /// The full-scope reference count of a pair's surviving paths: every
-/// canonical path walked link by link against the raw fault bits. It
-/// shares no code with [`FaultSet::survivors`], which is what lets a
-/// full certificate refute that structure.
+/// canonical path walked link by link, along its label digits, against
+/// the raw fault bits. It shares no cone arithmetic with
+/// [`FaultSet::survivors`] nor with the closed-form walk built on the
+/// same cones, which is what lets a full certificate refute either.
 fn walked_survivor_count(topo: &Topology, faults: &FaultSet, s: PnId, d: PnId) -> u64 {
-    let alive = |&p: &PathId| faults.path_survives(topo, s, d, p);
+    if faults.is_empty() {
+        return topo.num_paths(s, d);
+    }
+    let alive = |&p: &PathId| {
+        let mut alive = true;
+        topo.walk_path_by_labels(s, d, p, |l| alive &= !faults.is_link_failed(l));
+        alive
+    };
     topo.all_paths(s, d).filter(alive).count() as u64
 }
 
@@ -393,8 +406,9 @@ fn audit_degraded_pair<R: Router>(
                 ));
             }
             check_distinct(s, d, paths, findings);
+            let walk = topo.pair_walk(s, d);
             for &p in paths.iter() {
-                check_path_shape(topo, s, d, p, Some(faults), findings);
+                check_path_shape(topo, &walk, s, d, p, Some(faults), findings);
             }
         }
         Err(RouteError::Disconnected { .. }) => {

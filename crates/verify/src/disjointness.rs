@@ -75,8 +75,9 @@ pub fn check_disjoint_fork(topo: &Topology, router: &Disjoint, report: &mut Repo
                 let group = (topo.spec().w_at(1) as usize).min(paths.len());
                 let mut seen_links = HashSet::new();
                 let mut clash = false;
+                let walk = topo.pair_walk(s, d);
                 for &p in &paths[..group] {
-                    topo.walk_path(s, d, p, |l| {
+                    walk.walk(p, |l| {
                         clash |= !seen_links.insert(l);
                     });
                 }

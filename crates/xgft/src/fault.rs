@@ -361,11 +361,13 @@ impl FaultSet {
             let w = u64::from(topo.spec().w_at(l));
             let m = u64::from(topo.spec().m_at(l));
             let below = topo.w_prod(l - 1);
-            self.for_each_failed_in(topo.up_cone_start(l, s), span, |at| {
+            let up = topo.up_cone_start(l, u64::from(s.0) / topo.m_prod(l - 1));
+            self.for_each_failed_in(up, span, |at| {
                 set.kill(topo, l, at / w + at % w * below, size);
             });
             let child = u64::from(topo.pn_digit(d, l));
-            self.for_each_failed_in(topo.down_cone_start(l, d), span * m, |at| {
+            let down = topo.down_cone_start(l, u64::from(d.0) / topo.m_prod(l));
+            self.for_each_failed_in(down, span * m, |at| {
                 if at % m == child {
                     set.kill(topo, l, at / m, size);
                 }

@@ -20,7 +20,8 @@
 //!   enumeration of every *directed* link;
 //! * shortest-path machinery: nearest-common-ancestor levels, the
 //!   canonical enumeration of all `Π_{i≤κ} w_i` shortest paths of an SD
-//!   pair ([`Topology::num_paths`], [`Topology::walk_path`]), and the
+//!   pair ([`Topology::num_paths`]), walked link by link in closed form
+//!   ([`Topology::pair_walk`], [`Topology::walk_path`]), and the
 //!   destination-mod-k path index ([`Topology::dmodk_path`]);
 //! * sub-tree cut utilities used by the optimal-load lower bound
 //!   (Lemma 1 of the paper);
@@ -67,7 +68,7 @@ pub use blast::BlastRadius;
 pub use error::SpecError;
 pub use fault::{FaultSet, SurvivorSet};
 pub use ids::{DirectedLinkId, LinkDir, NodeId, PathId, PnId};
-pub use paths::PathWalk;
+pub use paths::{PairWalk, PathWalk};
 pub use schedule::{FaultChange, FaultEvent, FaultSchedule};
 pub use spec::XgftSpec;
 pub use subtree::SubtreeCut;

@@ -14,8 +14,10 @@
 //! ```
 //!
 //! with `u_1` most significant. This module implements that bijection and
-//! the destination-mod-k path index, and can walk a path's directed links
-//! without allocating.
+//! the destination-mod-k path index, and walks a path's directed links
+//! without allocating: by closed-form link arithmetic ([`PairWalk`], built
+//! once per pair), or digit by digit along the nodes' labels
+//! ([`Topology::walk_path_by_labels`], the reference).
 
 use crate::{DirectedLinkId, NodeId, PathId, PnId, Topology, MAX_HEIGHT};
 
@@ -109,7 +111,70 @@ impl Topology {
 
     /// Visit every directed link of a path, in order (κ up-links then κ
     /// down-links). Allocation-free. Does nothing when `s == d`.
-    pub fn walk_path<F: FnMut(DirectedLinkId)>(&self, s: PnId, d: PnId, path: PathId, mut f: F) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `path` is out of range for the pair.
+    pub fn walk_path<F: FnMut(DirectedLinkId)>(&self, s: PnId, d: PnId, path: PathId, f: F) {
+        self.pair_walk(s, d).walk(path, f);
+    }
+
+    /// The closed-form walk of the pair's paths: build it once, then
+    /// [`PairWalk::walk`] any number of them without label digits. The
+    /// build divides `s` and `d` by `m_l` level by level until the two
+    /// quotients meet, which happens past the NCA level, so it finds κ
+    /// and every base in one pass.
+    pub fn pair_walk(&self, s: PnId, d: PnId) -> PairWalk {
+        let mut walk = PairWalk {
+            kappa: 0,
+            paths: 1,
+            w: [0; MAX_HEIGHT],
+            m: [0; MAX_HEIGHT],
+            below: [0; MAX_HEIGHT],
+            climb: [0; MAX_HEIGHT],
+            descent: [0; MAX_HEIGHT],
+        };
+        // At level l, `qs = ⌊s / m_prod(l−1)⌋` and `qd = ⌊d / m_prod(l−1)⌋`
+        // are the two PNs' label digits from position l up; they differ
+        // until l passes the NCA level κ.
+        let (mut qs, mut qd) = (u64::from(s.0), u64::from(d.0));
+        while qs != qd {
+            let l = walk.kappa + 1;
+            let m = self.spec().m_at(l);
+            let digit = qd % u64::from(m);
+            walk.w[l - 1] = self.spec().w_at(l);
+            walk.m[l - 1] = m;
+            // All fit: w_prod(l − 1) counts nodes of level l − 1, and
+            // the cone starts are link ids of this topology.
+            walk.below[l - 1] = self.w_prod(l - 1) as u32;
+            walk.climb[l - 1] = self.up_cone_start(l, qs) as u32;
+            qs /= u64::from(m);
+            qd /= u64::from(m);
+            walk.descent[l - 1] = (self.down_cone_start(l, qd) + digit) as u32;
+            walk.kappa = l;
+        }
+        walk.paths = self.w_prod(walk.kappa);
+        walk
+    }
+
+    /// The digit-by-digit walk [`Topology::walk_path`] replaced: the
+    /// same links in the same order, reached by converting every node
+    /// on the way to its label digits and back. Slow and obvious, it is
+    /// the reference the closed form and [`FaultSet::survivors`]
+    /// (which shares its cone arithmetic) are checked against.
+    ///
+    /// [`FaultSet::survivors`]: crate::FaultSet::survivors
+    ///
+    /// # Panics
+    ///
+    /// Panics if `path` is out of range for the pair.
+    pub fn walk_path_by_labels<F: FnMut(DirectedLinkId)>(
+        &self,
+        s: PnId,
+        d: PnId,
+        path: PathId,
+        mut f: F,
+    ) {
         let mut ports = [0u32; MAX_HEIGHT];
         let kappa = self.path_up_ports(s, d, path, &mut ports);
         if kappa == 0 {
@@ -182,6 +247,92 @@ impl PathWalk {
         PathWalk {
             nodes: topo.path_nodes(s, d, path),
             links,
+        }
+    }
+}
+
+/// The shortest paths of one SD pair as closed-form link arithmetic,
+/// built by [`Topology::pair_walk`] and cheap to copy.
+///
+/// A path with up-port choices `u_1 … u_κ` passes, at level `l`, the
+/// switch whose low label digits are `u_1 … u_l` and whose digits above
+/// `l` are the source's while climbing and the destination's while
+/// descending. Its rank is the running prefix
+/// `P_l = Σ_{i≤l} u_i·w_prod(i−1)` plus a base fixed by the pair:
+/// `w_prod(l−1)·⌊s / m_prod(l−1)⌋` for the level-`l − 1` node a climb
+/// leaves, `w_prod(l)·⌊d / m_prod(l)⌋` for the level-`l` node a descent
+/// leaves. Link ids are linear in the rank, so the walk keeps one base
+/// link id per level and direction — the first id of the pair's up cone
+/// (the cone [`FaultSet::survivors`] scans) and the descent's link
+/// towards `d`'s digit `l` in its down cone — and reaches the up-link
+/// at `climb_l + P_{l−1}·w_l + u_l` and the down-link at
+/// `descent_l + P_l·m_l`. A path costs one mixed-radix split of its id
+/// and no division per hop.
+///
+/// [`FaultSet::survivors`]: crate::FaultSet::survivors
+#[derive(Debug, Clone, Copy)]
+pub struct PairWalk {
+    kappa: usize,
+    /// `X = w_prod(κ)`, the size of the pair's path space.
+    paths: u64,
+    /// `w[l − 1] = w_l`.
+    w: [u32; MAX_HEIGHT],
+    /// `m[l − 1] = m_l`.
+    m: [u32; MAX_HEIGHT],
+    /// `below[l − 1] = w_prod(l − 1)`, the weight of `u_l` in `P_l`.
+    below: [u32; MAX_HEIGHT],
+    /// `climb[l − 1]`: the up-link of level `l` the climb takes when
+    /// `P_{l−1} = 0` and `u_l = 0`.
+    climb: [u32; MAX_HEIGHT],
+    /// `descent[l − 1]`: the down-link of level `l` the descent takes
+    /// when `P_l = 0`.
+    descent: [u32; MAX_HEIGHT],
+}
+
+impl PairWalk {
+    /// The pair's NCA level `κ`: every path has `2κ` links.
+    pub fn kappa(&self) -> usize {
+        self.kappa
+    }
+
+    /// The number of the pair's shortest paths, `w_prod(κ)`.
+    pub fn num_paths(&self) -> u64 {
+        self.paths
+    }
+
+    /// Visit every directed link of `path`, in the order and with the
+    /// ids [`Topology::walk_path_by_labels`] gives: κ up-links, then κ
+    /// down-links. Allocation-free; does nothing when `κ = 0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `path` is out of range for the pair.
+    pub fn walk<F: FnMut(DirectedLinkId)>(&self, path: PathId, mut f: F) {
+        assert!(
+            path.0 < self.paths,
+            "path {} out of range (X = {})",
+            path.0,
+            self.paths
+        );
+        let kappa = self.kappa;
+        // X fits a level's node count, so the id fits u32; u_κ is the
+        // least significant digit.
+        let mut id = path.0 as u32;
+        let mut u = [0u32; MAX_HEIGHT];
+        for l in (1..=kappa).rev() {
+            u[l - 1] = id % self.w[l - 1];
+            id /= self.w[l - 1];
+        }
+        let mut prefix = 0u32;
+        for l in 1..=kappa {
+            f(DirectedLinkId(
+                self.climb[l - 1] + prefix * self.w[l - 1] + u[l - 1],
+            ));
+            prefix += u[l - 1] * self.below[l - 1];
+        }
+        for l in (1..=kappa).rev() {
+            f(DirectedLinkId(self.descent[l - 1] + prefix * self.m[l - 1]));
+            prefix -= u[l - 1] * self.below[l - 1];
         }
     }
 }
@@ -284,6 +435,30 @@ mod tests {
             let apex = t.path_nodes(s, d, p)[2];
             assert_eq!(t.construction_number(apex) - base, p.0);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn pair_walk_rejects_an_out_of_range_path() {
+        let t = fig3();
+        t.pair_walk(PnId(0), PnId(63)).walk(PathId(8), |_| {});
+    }
+
+    #[test]
+    fn pair_walk_follows_the_paper_example() {
+        // Path 7 of (0, 63) climbs through up ports (0, 1, 3) and
+        // descends by 63's digits (3, 3, 3).
+        let t = fig3();
+        let (s, d) = (PnId(0), PnId(63));
+        let mut links = Vec::new();
+        t.pair_walk(s, d).walk(PathId(7), |l| links.push(l));
+        let mut labels = Vec::new();
+        t.walk_path_by_labels(s, d, PathId(7), |l| labels.push(l));
+        assert_eq!(links, labels);
+        let ports: Vec<u32> = links.iter().map(|&l| t.endpoints(l).from_port).collect();
+        // Up ports 0, 1, 3; then down ports to child digit 3, past the
+        // w_{l+1} up ports of a level-l switch (none at the top).
+        assert_eq!(ports, vec![0, 1, 3, 3, 4 + 3, 2 + 3]);
     }
 
     #[test]

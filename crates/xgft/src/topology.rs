@@ -269,23 +269,26 @@ impl Topology {
         DirectedLinkId(self.down_base[l] + parent_rank * self.spec.m_at(l) + child)
     }
 
-    /// First id of the up-links at level `l` a climb from `s` can take.
-    /// They are the `w_prod(l)` consecutive ids from here on: the climb
-    /// has fixed the source's label digits from position `l` up, and
-    /// its free port choices `u_1 … u_l` index the run at offset
+    /// First id of the up-links at level `l` a climb from `s` can take,
+    /// given `q = ⌊s / m_prod(l−1)⌋`, the source's label digits from
+    /// position `l` up. They are the `w_prod(l)` consecutive ids from
+    /// here on: the climb has fixed those digits, and its free port
+    /// choices `u_1 … u_l` index the run at offset
     /// `(Σ_{i<l} u_i·w_prod(i−1))·w_l + u_l`.
-    pub(crate) fn up_cone_start(&self, l: usize, s: PnId) -> u64 {
-        let child = self.w_prod[l - 1] * (u64::from(s.0) / self.m_prod[l - 1]);
+    pub(crate) fn up_cone_start(&self, l: usize, q: u64) -> u64 {
+        let child = self.w_prod[l - 1] * q;
         u64::from(self.up_base[l]) + child * u64::from(self.spec.w_at(l))
     }
 
     /// First id of the run of `w_prod(l) · m_l` down-links leaving the
-    /// `w_prod(l)` level-`l` switches a descent to `d` can pass. With
-    /// port choices `u_1 … u_l` the descent passes switch number
-    /// `Σ_{i≤l} u_i·w_prod(i−1)` of the run and leaves it towards `d`'s
-    /// digit `l`, so only every `m_l`-th id of the run is on its way.
-    pub(crate) fn down_cone_start(&self, l: usize, d: PnId) -> u64 {
-        let parent = self.w_prod[l] * (u64::from(d.0) / self.m_prod[l]);
+    /// `w_prod(l)` level-`l` switches a descent to `d` can pass, given
+    /// `q = ⌊d / m_prod(l)⌋`, the destination's label digits above
+    /// position `l`. With port choices `u_1 … u_l` the descent passes
+    /// switch number `Σ_{i≤l} u_i·w_prod(i−1)` of the run and leaves it
+    /// towards `d`'s digit `l`, so only every `m_l`-th id of the run is
+    /// on its way.
+    pub(crate) fn down_cone_start(&self, l: usize, q: u64) -> u64 {
+        let parent = self.w_prod[l] * q;
         u64::from(self.down_base[l]) + parent * u64::from(self.spec.m_at(l))
     }
 

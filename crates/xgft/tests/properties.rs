@@ -3,7 +3,9 @@
 //! parameter sets, not just the paper's topologies.
 
 use lmpr_codec::cases::{self, assume, CaseRng};
-use xgft::{DirectedLinkId, FaultSet, NodeId, PathId, PnId, Topology, XgftSpec, MAX_HEIGHT};
+use xgft::{
+    DirectedLinkId, FaultSet, LinkDir, NodeId, PathId, PnId, Topology, XgftSpec, MAX_HEIGHT,
+};
 
 /// A random spec: height 1..=4, and `m` then `w` drawn independently
 /// per level from 1..=`max_arity`.
@@ -244,6 +246,82 @@ fn incident_links_match_the_endpoint_scan() -> Result<(), String> {
     })
 }
 
+/// Every path climbs one level a hop from the source and then descends
+/// one level a hop to the destination, each link leaving the switch the
+/// one before it entered; and every link id names one level and one
+/// direction, with endpoints on the two levels it joins.
+#[test]
+fn walks_climb_then_descend_through_adjacent_links() -> Result<(), String> {
+    cases::run(
+        "walks_climb_then_descend_through_adjacent_links",
+        64,
+        |rng| {
+            let t = arb_small_topo(rng);
+            for id in (0..t.num_links()).map(DirectedLinkId) {
+                let (level, dir) = t.link_level_dir(id);
+                let e = t.endpoints(id);
+                assert_eq!((e.level, e.dir), (level, dir), "{:?}", id);
+                let (from, to) = match dir {
+                    LinkDir::Up => (level - 1, level),
+                    LinkDir::Down => (level, level - 1),
+                };
+                assert_eq!((e.from.level, e.to.level), (from, to), "{:?}", id);
+            }
+            let n = t.num_pns();
+            for s in (0..n).map(PnId) {
+                for d in (0..n).map(PnId) {
+                    let kappa = t.nca_level(s, d);
+                    for p in t.all_paths(s, d) {
+                        let mut links = Vec::new();
+                        t.walk_path(s, d, p, |l| links.push(l));
+                        assert_eq!(links.len(), 2 * kappa);
+                        let mut at = NodeId::pn(s);
+                        for (i, &l) in links.iter().enumerate() {
+                            let e = t.endpoints(l);
+                            let want = if i < kappa {
+                                (i + 1, LinkDir::Up)
+                            } else {
+                                (2 * kappa - i, LinkDir::Down)
+                            };
+                            assert_eq!((e.level as usize, e.dir), want, "({s:?}, {d:?}) {p:?}");
+                            assert_eq!(e.from, at, "({s:?}, {d:?}) {p:?} hop {i}");
+                            at = e.to;
+                        }
+                        assert_eq!(at, NodeId::pn(d), "({s:?}, {d:?}) {p:?}");
+                    }
+                }
+            }
+            Ok(())
+        },
+    )
+}
+
+/// The closed-form walk emits exactly the label walk's links, in its
+/// order, for every path of every ordered pair.
+#[test]
+fn pair_walk_equals_the_label_walk() -> Result<(), String> {
+    cases::run("pair_walk_equals_the_label_walk", 64, |rng| {
+        let t = arb_small_topo(rng);
+        let n = t.num_pns();
+        let (mut closed, mut labels) = (Vec::new(), Vec::new());
+        for s in (0..n).map(PnId) {
+            for d in (0..n).map(PnId) {
+                let walk = t.pair_walk(s, d);
+                assert_eq!(walk.kappa(), t.nca_level(s, d));
+                assert_eq!(walk.num_paths(), t.num_paths(s, d));
+                for p in t.all_paths(s, d) {
+                    closed.clear();
+                    labels.clear();
+                    walk.walk(p, |l| closed.push(l));
+                    t.walk_path_by_labels(s, d, p, |l| labels.push(l));
+                    assert_eq!(closed, labels, "({s:?}, {d:?}) {p:?}");
+                }
+            }
+        }
+        Ok(())
+    })
+}
+
 #[test]
 fn construction_number_is_bijective_per_level() -> Result<(), String> {
     cases::run("construction_number_is_bijective_per_level", 128, |rng| {
@@ -321,7 +399,9 @@ fn distinct_paths_share_no_directed_link_iff_apex_differs_everywhere() -> Result
 /// `FaultSet::survivors` reads a pair's survivors off the failed
 /// links in its cones; the exhaustive walk it replaced — every
 /// canonical path, link by link, against the raw fault bits — is
-/// kept here as the reference, over every ordered pair.
+/// kept here as the reference, over every ordered pair. The walk is
+/// the label walk: the closed-form one shares the cone arithmetic
+/// under test.
 #[test]
 fn survivors_equal_the_exhaustive_walk() -> Result<(), String> {
     cases::run("survivors_equal_the_exhaustive_walk", 64, |rng| {
@@ -334,7 +414,11 @@ fn survivors_equal_the_exhaustive_walk() -> Result<(), String> {
                 let x = t.num_paths(s, d);
                 let alive: Vec<bool> = t
                     .all_paths(s, d)
-                    .map(|p| faults.path_survives(&t, s, d, p))
+                    .map(|p| {
+                        let mut alive = true;
+                        t.walk_path_by_labels(s, d, p, |l| alive &= !faults.is_link_failed(l));
+                        alive
+                    })
                     .collect();
                 let walked: Vec<PathId> =
                     t.all_paths(s, d).filter(|p| alive[p.0 as usize]).collect();

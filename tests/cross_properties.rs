@@ -88,6 +88,62 @@ fn full_budget_never_loses_to_single_path() -> Result<(), String> {
     })
 }
 
+/// Degraded flow-level loads are bit-equal to an accumulation that
+/// routes every flow through the same engine and walks each selected
+/// path along its label digits, depositing in the same order: the
+/// closed-form walk changes what a deposit costs, never what it adds.
+#[test]
+fn degraded_loads_equal_the_label_walk_deposit() -> Result<(), String> {
+    cases::run("degraded_loads_equal_the_label_walk_deposit", 48, |rng| {
+        let topo = arb_topo(rng);
+        let seed = rng.below(1000);
+        let k = rng.range(1..=6);
+        let rate = rng.range(0..=30) as f64 / 100.0;
+        let switch_rate = rng.range(0..=10) as f64 / 100.0;
+        let faults = FaultSet::sample(&topo, rate, switch_rate, rng.next_u64());
+        let n = topo.num_pns();
+        let mut flows = Vec::new();
+        for s in (0..n).map(PnId) {
+            for d in (0..n).map(PnId) {
+                if s != d && rng.below(2) == 0 {
+                    let demand = rng.range(1..=16) as f64 / 3.0;
+                    flows.push(lmpr::traffic::Flow {
+                        src: s,
+                        dst: d,
+                        demand,
+                    });
+                }
+            }
+        }
+        let tm = TrafficMatrix::from_flows(n, flows);
+        for r in arb_router(k, seed) {
+            let got = DegradedLoads::accumulate(&topo, &r, &tm, &faults);
+            let mut engine = SelectionEngine::with_view(&r, faults.clone());
+            let mut want = vec![0.0f64; topo.num_links() as usize];
+            let (mut routed, mut disconnected) = (0u64, 0u64);
+            let mut paths = Vec::new();
+            for f in tm.flows() {
+                if engine.try_select(&topo, f.src, f.dst, &mut paths).is_err() {
+                    disconnected += 1;
+                    continue;
+                }
+                routed += 1;
+                let share = f.demand / paths.len() as f64;
+                for &p in &paths {
+                    topo.walk_path_by_labels(f.src, f.dst, p, |l| want[l.0 as usize] += share);
+                }
+            }
+            assert_eq!(
+                (got.routed_flows, got.disconnected_flows),
+                (routed, disconnected)
+            );
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got.loads.loads()), bits(&want), "{}", r.name());
+        }
+        Ok(())
+    })
+}
+
 /// The flit simulator conserves flits for arbitrary small runs.
 #[test]
 fn flit_conservation_on_random_configs() -> Result<(), String> {
